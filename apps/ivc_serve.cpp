@@ -13,6 +13,7 @@
 //   ivc_serve --scenario X --roundtrip                    # snapshot roundtrip diff
 //   ivc_serve --list                                      # registry catalogue
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -57,6 +58,9 @@ int serve_under_load(const experiment::ScenarioConfig& config, int readers,
     });
   }
   for (std::thread& t : pool) t.join();
+  // Readers leave once the service has finished; with no readers, wait
+  // here — stop() would otherwise halt the stepper before its first step.
+  while (!service.finished()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   service.stop();
 
   const serve::ServiceView final_view = service.query();

@@ -174,6 +174,24 @@ v2x::Message read_message(ByteReader& r) {
   return msg;
 }
 
+// Smallest encoding of one element behind each count prefix; restore
+// passes them to ByteReader::count, which rejects a count whose elements
+// cannot fit in the bytes left before anything is reserved or looped on.
+constexpr std::size_t kVidBytes = 8;
+constexpr std::size_t kNodeBytes = 4;
+constexpr std::size_t kEdgeBytes = 4;
+constexpr std::size_t kTimeBytes = 8;
+// Engine slot: 5 f64, edge, lane, cooldown, patrol byte, id, 3 attribute
+// bytes, alive, route length, route cursor, cyclic, entry_seq, rng key and
+// draws — with an empty route.
+constexpr std::size_t kSlotBytes = 5 * 8 + 4 + 4 + 4 + 1 + 8 + 3 + 1 + 8 + 8 + 1 + 8 + 8 + 8;
+// Message: source, destination, kind byte, the smaller payload (tree ack:
+// node + bool), created_at, hops.
+constexpr std::size_t kMessageBytes = 4 + 4 + 1 + (4 + 1) + 8 + 4;
+// OBU entry: generation tag, counted, label flag (no label), overtake
+// delta, cargo count (empty cargo), channel attempts.
+constexpr std::size_t kObuBytes = 8 + 1 + 1 + 4 + 8 + 8;
+
 void check(bool ok, const char* what) {
   if (!ok) {
     throw SnapshotError(std::string("snapshot incompatible with this world: ") + what);
@@ -235,12 +253,6 @@ void SimEngine::save(serve::Snapshot& snap) const {
     w.f64(store_.speed[i]);
     w.f64(store_.length[i]);
     w.f64(store_.desired_speed_factor[i]);
-    const IdmParams& p = store_.driver[i];
-    w.f64(p.max_accel);
-    w.f64(p.comfort_decel);
-    w.f64(p.headway);
-    w.f64(p.min_gap);
-    w.f64(p.exponent);
     serve::write_edge(w, store_.edge[i]);
     w.i32(store_.lane[i]);
     w.i32(store_.lane_change_cooldown[i]);
@@ -302,7 +314,7 @@ void SimEngine::restore(const serve::Snapshot& snap) {
   peak_occupied_lanes_ = r.u64();
   serve::read_rng(r, rng_);
 
-  const std::size_t slots = r.u64();
+  const std::size_t slots = r.count(serve::kSlotBytes);
   store_ = VehicleStore{};
   for (std::size_t i = 0; i < slots; ++i) {
     const std::uint32_t slot = store_.push_slot();
@@ -312,12 +324,6 @@ void SimEngine::restore(const serve::Snapshot& snap) {
     store_.speed[i] = r.f64();
     store_.length[i] = r.f64();
     store_.desired_speed_factor[i] = r.f64();
-    IdmParams& p = store_.driver[i];
-    p.max_accel = r.f64();
-    p.comfort_decel = r.f64();
-    p.headway = r.f64();
-    p.min_gap = r.f64();
-    p.exponent = r.f64();
     store_.edge[i] = serve::read_edge(r);
     store_.lane[i] = r.i32();
     store_.lane_change_cooldown[i] = r.i32();
@@ -328,7 +334,7 @@ void SimEngine::restore(const serve::Snapshot& snap) {
     cold.attrs.type = static_cast<BodyType>(r.u8());
     cold.attrs.brand = static_cast<Brand>(r.u8());
     cold.alive = r.boolean();
-    const std::size_t route_len = r.u64();
+    const std::size_t route_len = r.count(serve::kEdgeBytes);
     cold.route.edges.clear();
     cold.route.edges.reserve(route_len);
     for (std::size_t e = 0; e < route_len; ++e) cold.route.edges.push_back(serve::read_edge(r));
@@ -341,13 +347,13 @@ void SimEngine::restore(const serve::Snapshot& snap) {
   IVC_ASSERT(store_.rows_consistent());
 
   free_slots_.clear();
-  const std::size_t free_count = r.u64();
+  const std::size_t free_count = r.count(sizeof(std::uint32_t));
   free_slots_.reserve(free_count);
   for (std::size_t i = 0; i < free_count; ++i) free_slots_.push_back(r.u32());
   pending_free_.clear();
 
   alive_.clear();
-  const std::size_t alive_count = r.u64();
+  const std::size_t alive_count = r.count(serve::kVidBytes);
   alive_.reserve(alive_count);
   for (std::size_t i = 0; i < alive_count; ++i) alive_.push_back(serve::read_vid(r));
   alive_pos_.assign(slots, 0);
@@ -357,18 +363,18 @@ void SimEngine::restore(const serve::Snapshot& snap) {
   }
 
   watched_.clear();
-  const std::size_t watched_count = r.u64();
+  const std::size_t watched_count = r.count(serve::kVidBytes);
   watched_.reserve(watched_count);
   for (std::size_t i = 0; i < watched_count; ++i) watched_.push_back(serve::read_vid(r));
 
-  const std::size_t lane_count = r.u64();
+  const std::size_t lane_count = r.count(sizeof(std::uint64_t));
   serve::check(lane_count == lanes_.size(), "lane table size differs");
   edge_count_.assign(edge_count_.size(), 0);
   occupied_lanes_.clear();
   for (std::size_t li = 0; li < lane_count; ++li) {
     std::vector<VehicleId>& lane = lanes_[li];
     lane.clear();
-    const std::size_t n = r.u64();
+    const std::size_t n = r.count(serve::kVidBytes);
     lane.reserve(n);
     for (std::size_t v = 0; v < n; ++v) lane.push_back(serve::read_vid(r));
     if (!lane.empty()) {
@@ -516,7 +522,7 @@ void SnapshotAccess::restore(counting::CountingProtocol& p, const Snapshot& snap
 
   p.started_ = r.boolean();
   p.seeds_.clear();
-  const std::size_t seed_count = r.u64();
+  const std::size_t seed_count = r.count(kNodeBytes);
   p.seeds_.reserve(seed_count);
   for (std::size_t i = 0; i < seed_count; ++i) p.seeds_.push_back(read_node(r));
   read_rng(r, p.rng_);
@@ -539,7 +545,7 @@ void SnapshotAccess::restore(counting::CountingProtocol& p, const Snapshot& snap
   stats.interaction_entries = r.u64();
   stats.interaction_exits = r.u64();
 
-  const std::size_t obu_count = r.u64();
+  const std::size_t obu_count = r.count(kObuBytes);
   p.obus_.entries_.assign(obu_count, {});
   for (auto& entry : p.obus_.entries_) {
     entry.generation_tag = r.u64();
@@ -551,7 +557,7 @@ void SnapshotAccess::restore(counting::CountingProtocol& p, const Snapshot& snap
       obu.label.reset();
     }
     obu.overtake_delta = r.i32();
-    const std::size_t cargo_count = r.u64();
+    const std::size_t cargo_count = r.count(kMessageBytes);
     obu.cargo.clear();
     obu.cargo.reserve(cargo_count);
     for (std::size_t c = 0; c < cargo_count; ++c) obu.cargo.push_back(read_message(r));
@@ -560,7 +566,7 @@ void SnapshotAccess::restore(counting::CountingProtocol& p, const Snapshot& snap
 
   for (auto& box : p.outbox_) {
     box.clear();
-    const std::size_t n = r.u64();
+    const std::size_t n = r.count(kMessageBytes + kTimeBytes);
     for (std::size_t i = 0; i < n; ++i) {
       counting::CountingProtocol::StampedMessage stamped{read_message(r), {}};
       stamped.since = read_time(r);
@@ -597,13 +603,13 @@ void SnapshotAccess::restore(counting::CountingProtocol& p, const Snapshot& snap
     cp.loss_adjust_ = r.i64();
     cp.overtake_adjust_ = r.i64();
     cp.child_reports_.clear();
-    const std::size_t report_count = r.u64();
+    const std::size_t report_count = r.count(sizeof(std::uint32_t) + sizeof(std::int64_t));
     for (std::size_t i = 0; i < report_count; ++i) {
       const std::uint32_t child = r.u32();
       cp.child_reports_[child] = r.i64();
     }
     cp.children_.clear();
-    const std::size_t child_count = r.u64();
+    const std::size_t child_count = r.count(kNodeBytes);
     cp.children_.reserve(child_count);
     for (std::size_t i = 0; i < child_count; ++i) cp.children_.push_back(read_node(r));
     cp.report_sent_ = r.boolean();
@@ -640,7 +646,7 @@ void SnapshotAccess::restore(counting::Oracle& oracle, const Snapshot& snap) {
   oracle.adjustment_sum_ = r.i64();
   oracle.exit_events_ = r.u64();
   oracle.counted_times_.clear();
-  const std::size_t n = r.u64();
+  const std::size_t n = r.count(sizeof(std::uint64_t) + sizeof(std::uint16_t));
   oracle.counted_times_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t id = r.u64();
@@ -658,7 +664,7 @@ void SnapshotAccess::save(const counting::PatrolFleet& fleet, Snapshot& snap) {
 void SnapshotAccess::restore(counting::PatrolFleet& fleet, const Snapshot& snap) {
   ByteReader r(snap.section("patrol"));
   fleet.vehicles_.clear();
-  const std::size_t n = r.u64();
+  const std::size_t n = r.count(kVidBytes);
   fleet.vehicles_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) fleet.vehicles_.push_back(read_vid(r));
   r.expect_end("patrol");

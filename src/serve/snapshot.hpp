@@ -108,6 +108,17 @@ class ByteReader {
     pos_ += n;
     return s;
   }
+  // A u64 element count that sizes a container or a loop. Each element
+  // takes at least `min_element_bytes` (>= 1) of encoding, so a count
+  // whose elements cannot fit in the bytes left is corrupt: it throws
+  // SnapshotError here, before the caller reserves or loops on it.
+  std::size_t count(std::size_t min_element_bytes) {
+    const std::uint64_t n = u64();
+    if (n > (in_.size() - pos_) / min_element_bytes) {
+      throw SnapshotError("snapshot length prefix exceeds the remaining bytes");
+    }
+    return static_cast<std::size_t>(n);
+  }
 
   [[nodiscard]] bool at_end() const { return pos_ == in_.size(); }
   void expect_end(const char* what) const {
@@ -125,7 +136,7 @@ class ByteReader {
     return v;
   }
   void need(std::size_t n) const {
-    if (pos_ + n > in_.size()) throw SnapshotError("snapshot truncated");
+    if (n > in_.size() - pos_) throw SnapshotError("snapshot truncated");
   }
   const std::vector<std::uint8_t>& in_;
   std::size_t pos_ = 0;
@@ -136,7 +147,7 @@ class Snapshot {
   static constexpr std::uint32_t kMagic = 0x53435649;    // "IVCS", little-endian
   static constexpr std::uint32_t kEndianMark = 0x01020304;
   // Bump on ANY section-layout change; from_bytes rejects mismatches.
-  static constexpr std::uint32_t kVersion = 1;
+  static constexpr std::uint32_t kVersion = 2;
 
   // Creates (or resets) the named section and returns its payload buffer.
   std::vector<std::uint8_t>& add_section(std::string_view name);

@@ -14,6 +14,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kMinSeparation = 0.1;
 // Where a blocked front vehicle stops, measured back from the segment end.
 constexpr double kStopMargin = 0.5;
+// Lanes the serial dynamics phase integrates round-robin (dynamics_lanes).
+// Four independent update chains cover the latency of one vehicle's
+// dependent loads and divisions; eight measured no better.
+constexpr std::size_t kDynamicsGroup = 4;
 }  // namespace
 
 thread_local SimEngine::ShardContext* SimEngine::tls_shard_ = nullptr;
@@ -405,7 +409,6 @@ void SimEngine::lane_change_pass(std::uint32_t index) {
   const double* const pos = store_.position.data();
   const double* const spd = store_.speed.data();
   const double* const len = store_.length.data();
-  const IdmParams* const drv = store_.driver.data();
   // Apply with re-validation, front-most first, so a move doesn't
   // invalidate the decision of the vehicle behind it.
   for (std::size_t i = lane_list.size(); i-- > 0;) {
@@ -423,7 +426,7 @@ void SimEngine::lane_change_pass(std::uint32_t index) {
     }
     const double desired = seg.speed_limit * store_.desired_speed_factor[slot];
     const bool wants_out =
-        lead_gap < spd[slot] * drv[slot].headway * 1.5 && lead_speed < 0.85 * desired;
+        lead_gap < spd[slot] * idm_.headway * 1.5 && lead_speed < 0.85 * desired;
     if (!wants_out) continue;
 
     int best_lane = -1;
@@ -447,8 +450,8 @@ void SimEngine::lane_change_pass(std::uint32_t index) {
         tgt_follow_gap = pos[slot] - len[slot] - pos[tf];
         follower_speed = spd[tf];
       }
-      const bool safe = tgt_lead_gap > drv[slot].min_gap + 1.0 &&
-                        tgt_follow_gap > drv[slot].min_gap + 0.5 * follower_speed;
+      const bool safe = tgt_lead_gap > idm_.min_gap + 1.0 &&
+                        tgt_follow_gap > idm_.min_gap + 0.5 * follower_speed;
       if (safe && tgt_lead_gap > best_gain * 1.2) {
         best_gain = tgt_lead_gap;
         best_lane = target;
@@ -519,94 +522,122 @@ void SimEngine::update_dynamics() {
     });
     return;
   }
-  // Serial: the live worklist is safe to iterate directly (ascending =
-  // the old full-scan order).
-  for (std::size_t w = 0; w < occupied_lanes_.size(); ++w) {
-    const std::uint32_t index = occupied_lanes_[w];
-    if (w + 1 < occupied_lanes_.size()) {
-      // On a city-scale map the occupied lanes are scattered across a
-      // lane table far larger than cache; overlap the next lane's loads
-      // with this lane's integration.
-      const std::uint32_t next_index = occupied_lanes_[w + 1];
-      __builtin_prefetch(lanes_[next_index].data());
-      __builtin_prefetch(&net_.segment(lane_refs_[next_index].edge));
+  // Serial: the live worklist is safe to iterate directly, in groups of
+  // kDynamicsGroup lanes integrated round-robin, then a one-lane tail.
+  const std::uint32_t* const work = occupied_lanes_.data();
+  const std::size_t n = occupied_lanes_.size();
+  std::size_t w = 0;
+  for (; w + kDynamicsGroup <= n; w += kDynamicsGroup) {
+    // On a city-scale map the occupied lanes are scattered across a lane
+    // table far larger than cache; overlap the next group's loads with
+    // this group's integration.
+    for (std::size_t k = w + kDynamicsGroup; k < std::min(n, w + 2 * kDynamicsGroup); ++k) {
+      __builtin_prefetch(lanes_[work[k]].data());
+      __builtin_prefetch(&net_.segment(lane_refs_[work[k]].edge));
     }
-    dynamics_pass(index);
+    dynamics_lanes<kDynamicsGroup>(work + w);
   }
+  for (; w < n; ++w) dynamics_lanes<1>(work + w);
 }
 
-void SimEngine::dynamics_pass(std::uint32_t index) {
+void SimEngine::dynamics_pass(std::uint32_t index) { dynamics_lanes<1>(&index); }
+
+template <std::size_t K>
+void SimEngine::dynamics_lanes(const std::uint32_t* lanes) {
   const double dt = config_.dt;
-  const auto& seg = net_.segment(lane_refs_[index].edge);
-  const bool outbound_gateway = seg.is_outbound_gateway();
-  auto& lane_list = lanes_[index];
-  // Hot SoA arrays: the integration below streams exactly these. Raw
-  // pointers are safe — nothing on the dynamics path grows the store.
+  // Hot SoA arrays: the integration below reads exactly these, gathered by
+  // slot through the lane lists. Raw pointers are safe — nothing on the
+  // dynamics path grows the store.
   double* const pos = store_.position.data();
   double* const spd = store_.speed.data();
   const double* const len = store_.length.data();
   const double* const dsf = store_.desired_speed_factor.data();
-  const IdmParams* const drv = store_.driver.data();
-  // Front-to-back so each follower clamps against its leader's *new*
-  // position (sequential update; collision-free by construction).
-  for (std::size_t i = lane_list.size(); i-- > 0;) {
-    if (i > 0) __builtin_prefetch(&pos[lane_list[i - 1].slot()]);
-    const std::uint32_t slot = lane_list[i].slot();
-    // Vehicles already past the end are waiting for admission.
-    if (pos[slot] >= seg.length) {
-      spd[slot] = 0.0;
-      continue;
-    }
-    double gap = kInf;
-    double lead_speed = 0.0;
-    if (i + 1 < lane_list.size()) {
-      const std::uint32_t leader = lane_list[i + 1].slot();
-      gap = std::min(pos[leader], seg.length) - len[leader] - pos[slot];
-      lead_speed = spd[leader];
-    } else if (!outbound_gateway &&
-               pos[slot] > seg.length - config_.intersection_lookahead) {
-      // Front vehicle near the intersection: check whether the next edge
-      // can take it; if not, treat the stop line as a standing obstacle.
-      // An empty next edge always has room (the entry pick would return
-      // lane 0), so the lane scan is only needed when it is occupied.
-      // Room is read from the pre-dynamics entry-space snapshot: the next
-      // edge's lanes may belong to another shard (or merely come later in
-      // the serial scan), and this decision must not depend on either.
-      const roadnet::EdgeId next = ensure_next_edge(slot, seg.to);
-      if (edge_count_[next.value()] != 0 && snapshot_entry_lane(next, len[slot]) < 0) {
-        gap = (seg.length - kStopMargin) - pos[slot];
-        lead_speed = 0.0;
+
+  // One cursor per lane. Front-to-back within a lane, so each follower
+  // clamps against its leader's *new* position (sequential update;
+  // collision-free by construction); the leader's new state is carried in
+  // the cursor instead of being re-read through the lane list.
+  struct Cursor {
+    const VehicleId* ids;  // the lane list, rear first
+    std::size_t left;      // vehicles not yet integrated; ids[left - 1] is next
+    const roadnet::Segment* seg;
+    bool has_leader;
+    double lead_pos;
+    double lead_speed;
+    double lead_len;
+  };
+  Cursor lane[K];
+  std::size_t rounds = 0;
+  for (std::size_t k = 0; k < K; ++k) {
+    const std::vector<VehicleId>& list = lanes_[lanes[k]];
+    lane[k] = Cursor{list.data(), list.size(), &net_.segment(lane_refs_[lanes[k]].edge),
+                     false, 0.0, 0.0, 0.0};
+    rounds = std::max(rounds, list.size());
+  }
+
+  for (std::size_t round = 0; round < rounds; ++round) {
+    for (std::size_t k = 0; k < K; ++k) {
+      Cursor& c = lane[k];
+      if (c.left == 0) continue;
+      const std::uint32_t slot = c.ids[--c.left].slot();
+      const roadnet::Segment& seg = *c.seg;
+      const double x = pos[slot];
+      // Vehicles already past the end wait for admission, standing still.
+      double p = x;
+      double v = 0.0;
+      if (x < seg.length) {
+        double gap = kInf;
+        double lead_speed = 0.0;
+        if (c.has_leader) {
+          gap = std::min(c.lead_pos, seg.length) - c.lead_len - x;
+          lead_speed = c.lead_speed;
+        } else if (!seg.is_outbound_gateway() &&
+                   x > seg.length - config_.intersection_lookahead) {
+          // Front vehicle near the intersection: check whether the next
+          // edge can take it; if not, treat the stop line as a standing
+          // obstacle. An empty next edge always has room (the entry pick
+          // would return lane 0), so the lane scan is only needed when it
+          // is occupied. Room is read from the pre-dynamics entry-space
+          // snapshot: the next edge's lanes may be integrated in another
+          // shard, in this lane group or later in the serial scan, and
+          // this decision must not depend on which.
+          const roadnet::EdgeId next = ensure_next_edge(slot, seg.to);
+          if (edge_count_[next.value()] != 0 && snapshot_entry_lane(next, len[slot]) < 0) {
+            gap = (seg.length - kStopMargin) - x;
+            lead_speed = 0.0;
+          }
+        }
+        const double speed = spd[slot];
+        const double desired = seg.speed_limit * dsf[slot];
+        const double accel =
+            idm_acceleration(speed, desired, gap, speed - lead_speed, idm_, idm_braking_scale_);
+        v = std::clamp(speed + accel * dt, 0.0, desired);
+        p = x + v * dt;
+        // Overlap clamp against the (already updated) leader. The leader
+        // may be waiting for admission beyond the segment end; the
+        // follower has passed no admission check, so its limit is also
+        // capped at the stop line (mirroring the std::min(leader position,
+        // seg.length) the IDM gap above uses). Only the lane's front
+        // vehicle may cross seg.length and become a transit candidate.
+        // A front vehicle blocked by its next edge stops at the stop line.
+        double limit = kInf;
+        if (c.has_leader) {
+          limit = std::min(c.lead_pos - c.lead_len - kMinSeparation, seg.length - kStopMargin);
+        } else if (std::isfinite(gap)) {
+          limit = seg.length - kStopMargin;
+        }
+        if (p > limit) {
+          p = std::max(x, limit);
+          v = (p - x) / dt;
+        }
       }
+      pos[slot] = p;
+      spd[slot] = v;
+      c.has_leader = true;
+      c.lead_pos = p;
+      c.lead_speed = v;
+      c.lead_len = len[slot];
     }
-    const double desired = seg.speed_limit * dsf[slot];
-    const double accel =
-        idm_acceleration(spd[slot], desired, gap, spd[slot] - lead_speed, drv[slot]);
-    double v = std::clamp(spd[slot] + accel * dt, 0.0, desired);
-    double p = pos[slot] + v * dt;
-    // Overlap clamp against the (already updated) leader.
-    if (i + 1 < lane_list.size()) {
-      const std::uint32_t leader = lane_list[i + 1].slot();
-      // The leader may be waiting for admission beyond the segment end;
-      // the follower has passed no admission check, so its limit is also
-      // capped at the stop line (mirroring the std::min(leader position,
-      // seg.length) the IDM gap above uses). Only the lane's front
-      // vehicle may cross seg.length and become a transit candidate.
-      const double limit = std::min(pos[leader] - len[leader] - kMinSeparation,
-                                    seg.length - kStopMargin);
-      if (p > limit) {
-        p = std::max(pos[slot], limit);
-        v = (p - pos[slot]) / dt;
-      }
-    } else if (std::isfinite(gap)) {
-      // Blocked at the stop line.
-      const double limit = seg.length - kStopMargin;
-      if (p > limit) {
-        p = std::max(pos[slot], limit);
-        v = (p - pos[slot]) / dt;
-      }
-    }
-    pos[slot] = p;
-    spd[slot] = v;
   }
 }
 

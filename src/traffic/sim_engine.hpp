@@ -41,13 +41,19 @@
 // segment-major order a full map scan would visit, so event streams are
 // bit-identical to the scan they replaced.
 //
-// Storage: vehicle state is struct-of-arrays (VehicleStore) — one
-// contiguous array per hot field (position, speed, length, IDM params,
-// edge/lane), indexed by the generational id's slot, with route/attrs/RNG
-// bookkeeping in a cold per-slot record. The per-lane sweeps touch only
-// the hot arrays, so a step streams the bytes it integrates instead of
-// striding through fat AoS records; the arithmetic is unchanged, so the
-// layout is invisible in the event stream.
+// Storage: vehicle state is struct-of-arrays (VehicleStore) — one dense
+// array per hot field (position, speed, length, edge/lane, ...), indexed
+// by the generational id's slot, with route/attrs/RNG bookkeeping in a
+// cold per-slot record. The per-lane sweeps gather only the hot arrays,
+// by slot through the lane lists, instead of striding through fat AoS
+// records; the arithmetic is unchanged, so the layout is invisible in the
+// event stream. Every vehicle drives with the one engine-wide IdmParams.
+//
+// Serial dynamics integrates the occupied lanes in groups of four,
+// round-robin over their vehicles (dynamics_lanes): one lane's update is
+// a latency-bound front-to-back chain, and independent lanes overlap.
+// Each vehicle reads the same inputs as lane-by-lane stepping, so the
+// result is bit-identical to it.
 //
 // Model notes:
 //  * "Simple road model" (paper Sec. III-A): single-lane roads, no lane
@@ -66,6 +72,7 @@
 
 #include "roadnet/road_network.hpp"
 #include "traffic/events.hpp"
+#include "traffic/idm.hpp"
 #include "traffic/sharding.hpp"
 #include "traffic/vehicle.hpp"
 #include "traffic/vehicle_store.hpp"
@@ -265,7 +272,18 @@ class SimEngine {
   // non-stream randomness and calls into IVC_SERIAL_ONLY functions — the
   // static twin of the `tls_shard_ == nullptr` ownership assertions.
   IVC_SHARD_PASS void lane_change_pass(std::uint32_t lane_idx);
+  // IDM integration of one lane: dynamics_lanes<1>.
   IVC_SHARD_PASS void dynamics_pass(std::uint32_t lane_idx);
+  // IDM integration of the K lanes lanes[0..K), stepped round-robin over
+  // their vehicles (front to back within each lane). One lane's update is
+  // a chain — every follower reads its leader's new position and speed —
+  // so interleaving independent lanes lets the CPU overlap K chains.
+  // Lanes are independent during dynamics (cross-lane room comes from the
+  // entry-space snapshot, replans draw from per-vehicle streams), so the
+  // result is bit-identical to integrating the lanes one at a time.
+  // Defined and instantiated in sim_engine.cpp.
+  template <std::size_t K>
+  IVC_SHARD_PASS void dynamics_lanes(const std::uint32_t* lanes);
   // Appends the lane's front vehicle to its node's candidate list (or
   // despawns it on an outbound gateway); registers the node in
   // active_nodes_ on first candidate. Serial-only: despawns and candidate
@@ -378,6 +396,10 @@ class SimEngine {
 
   const roadnet::RoadNetwork& net_;
   SimConfig config_;
+  // The IDM parameter set every vehicle drives with, and its braking
+  // scale 2*sqrt(a*b), computed once.
+  const IdmParams idm_{};
+  const double idm_braking_scale_ = idm_braking_scale(idm_);
   util::Rng rng_;
   util::SimTime now_;
   std::uint64_t step_count_ = 0;

@@ -9,10 +9,10 @@
 // the protocol layer stops matching instead of silently aliasing a new
 // vehicle.
 //
-// Kinematic hot state (position, speed, lane, IDM parameters) does NOT
-// live here: it is stored struct-of-arrays in traffic::VehicleStore
-// (vehicle_store.hpp), indexed by the id's slot, so the engine's per-step
-// sweeps stream contiguous arrays instead of striding through fat records.
+// Kinematic hot state (position, speed, lane, ...) does NOT live here: it
+// is stored struct-of-arrays in traffic::VehicleStore (vehicle_store.hpp),
+// indexed by the id's slot, so the engine's per-step sweeps gather a few
+// dense arrays instead of striding through fat records.
 // This header keeps only what those sweeps never touch per vehicle: the
 // route, the exterior attributes, and the RNG/entry-order bookkeeping.
 #pragma once

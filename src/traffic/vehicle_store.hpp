@@ -1,17 +1,19 @@
 // Struct-of-arrays vehicle storage.
 //
-// The engine's per-step hot loops — IDM integration (dynamics_pass),
+// The engine's per-step hot loops — IDM integration (dynamics_lanes),
 // gap-acceptance lane changes (lane_change_pass) and the overtake scan —
 // sweep lanes of vehicles reading a handful of scalars each. The old AoS
 // `Vehicle` record spread those scalars across ~200 bytes of struct (route
 // vector, exterior attributes, RNG counters), so every per-vehicle touch
 // dragged several cache lines of cold state through L1 and left the
 // compiler nothing contiguous to vectorize. VehicleStore keeps one dense
-// array per hot field, indexed by VehicleId::slot(), so a sharded dynamics
-// sweep streams exactly the bytes it computes with; everything the sweeps
+// array per hot field, indexed by VehicleId::slot(); the sweeps gather
+// those fields by slot through the lane lists, so a vehicle costs a few
+// 8-byte loads rather than several cache lines. Everything the sweeps
 // never read per vehicle stays in the parallel VehicleCold record
 // (vehicle.hpp), touched only on slow paths (spawn, admission, despawn,
-// protocol queries).
+// protocol queries). IDM parameters are not per vehicle: the engine holds
+// one IdmParams for all of them.
 //
 // Invariants:
 //  * every array has exactly one row per slot (rows_consistent());
@@ -33,7 +35,6 @@
 
 #include "roadnet/types.hpp"
 #include "traffic/attributes.hpp"
-#include "traffic/idm.hpp"
 #include "traffic/vehicle.hpp"
 #include "util/assert.hpp"
 
@@ -47,7 +48,6 @@ class VehicleStore {
   std::vector<double> speed;               // m/s
   std::vector<double> length;              // m, from body type
   std::vector<double> desired_speed_factor;  // multiplies the edge speed limit
-  std::vector<IdmParams> driver;           // per-driver IDM envelope
   std::vector<roadnet::EdgeId> edge;       // current segment
   std::vector<std::int32_t> lane;          // lane on that segment
   // Steps since the last lane change (hysteresis against ping-ponging).
@@ -69,7 +69,6 @@ class VehicleStore {
     speed.push_back(0.0);
     length.push_back(0.0);
     desired_speed_factor.push_back(1.0);
-    driver.emplace_back();
     edge.emplace_back();
     lane.push_back(0);
     lane_change_cooldown.push_back(0);
@@ -89,7 +88,6 @@ class VehicleStore {
     speed[slot] = 0.0;
     length[slot] = 0.0;
     desired_speed_factor[slot] = 1.0;
-    driver[slot] = IdmParams{};
     edge[slot] = roadnet::EdgeId::invalid();
     lane[slot] = 0;
     lane_change_cooldown[slot] = 0;
@@ -106,9 +104,8 @@ class VehicleStore {
   [[nodiscard]] bool rows_consistent() const {
     const std::size_t n = cold.size();
     return position.size() == n && prev_position.size() == n && speed.size() == n &&
-           length.size() == n && desired_speed_factor.size() == n && driver.size() == n &&
-           edge.size() == n && lane.size() == n && lane_change_cooldown.size() == n &&
-           is_patrol.size() == n;
+           length.size() == n && desired_speed_factor.size() == n && edge.size() == n &&
+           lane.size() == n && lane_change_cooldown.size() == n && is_patrol.size() == n;
   }
 };
 
@@ -133,7 +130,6 @@ class VehicleRef {
   [[nodiscard]] double desired_speed_factor() const {
     return store_->desired_speed_factor[slot_];
   }
-  [[nodiscard]] const IdmParams& driver() const { return store_->driver[slot_]; }
   [[nodiscard]] const Route& route() const { return store_->cold[slot_].route; }
   [[nodiscard]] std::uint64_t entry_seq() const { return store_->cold[slot_].entry_seq; }
   [[nodiscard]] int lane_change_cooldown() const {

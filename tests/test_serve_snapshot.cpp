@@ -14,8 +14,10 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
+#include "experiment/registry.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/trace.hpp"
 #include "serve/world.hpp"
@@ -202,6 +204,46 @@ TEST(SimWorldSnapshot, RoundtripReproducesUninterruptedRunBitExact) {
   const testing::DiffResult diff = testing::diff_config_snapshot(tiny_config(), 7);
   EXPECT_TRUE(diff.match) << diff.summary << "\n  divergence: " << diff.divergence;
   EXPECT_GT(diff.fast.steps, 7u);
+}
+
+// Hostile input: every count prefix that sizes a container or a loop is
+// checked against the bytes left before anything is reserved. Writing 2^40
+// over each of the first 4,000 byte offsets of a real world snapshot lands
+// on counts, ids, edges and doubles alike; restore must either succeed or
+// reject the bytes with SnapshotError — never std::bad_alloc,
+// std::length_error or anything else.
+TEST(SimWorldSnapshot, HugeLengthPrefixesAreRejectedBeforeAllocating) {
+  const experiment::NamedScenario* named =
+      experiment::ScenarioRegistry::builtin().find("manhattan-open-steady");
+  ASSERT_NE(named, nullptr);
+  const experiment::ScenarioConfig config = named->make(experiment::ScenarioScale::Smoke);
+  SimWorld source(config);
+  for (int i = 0; i < 200; ++i) source.step();
+  Snapshot snap;
+  source.save(snap);
+  const std::vector<std::uint8_t> bytes = snap.to_bytes();
+  ASSERT_GT(bytes.size(), 4000u + 8u);
+
+  SimWorld target(config, SimWorld::Mode::Restore);
+  std::size_t rejected = 0;
+  for (std::size_t offset = 0; offset < 4000; ++offset) {
+    std::vector<std::uint8_t> corrupt = bytes;
+    const std::uint64_t huge = std::uint64_t{1} << 40;
+    for (std::size_t b = 0; b < 8; ++b) {
+      corrupt[offset + b] = static_cast<std::uint8_t>(huge >> (8 * b));
+    }
+    try {
+      target.restore(Snapshot::from_bytes(corrupt));
+    } catch (const SnapshotError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      FAIL() << "offset " << offset << ": restore threw " << typeid(e).name() << " ("
+             << e.what() << ") instead of SnapshotError";
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  // The target is still a working world: the original snapshot restores.
+  EXPECT_NO_THROW(target.restore(snap));
 }
 
 // ---- traces -----------------------------------------------------------------

@@ -3,7 +3,9 @@
 // fast engine, and the naive-Dijkstra route validation.
 #include <gtest/gtest.h>
 
+#include "roadnet/builder.hpp"
 #include "roadnet/manhattan.hpp"
+#include "serve/snapshot.hpp"
 #include "testing/diff_runner.hpp"
 #include "testing/fuzzer.hpp"
 #include "testing/reference_kernel.hpp"
@@ -119,6 +121,125 @@ TEST(ReferenceKernel, MatchesFastEngineEventStream) {
     return hasher.hash();
   };
   EXPECT_EQ(run(false), run(true));
+}
+
+// The serial dynamics phase integrates the occupied lanes four at a time,
+// round-robin over their vehicles, and finishes with one-lane passes; the
+// reference kernel integrates every lane on its own. Stepped side by side
+// on a dense multi-lane ring, the two engines must hold byte-identical
+// state after every step. The world is built so that the occupied-lane
+// count is not a multiple of four (the one-lane tail runs), the first
+// group of four holds lanes of unequal length (lanes run out mid-group)
+// and front vehicles start inside the intersection lookahead with no
+// route left (they replan inside the dynamics phase).
+TEST(ReferenceKernel, InterleavedDynamicsMatchesLaneByLaneEveryStep) {
+  roadnet::NetworkBuilder b;
+  roadnet::RoadSpec rs;
+  rs.lanes = 3;
+  rs.speed_limit = 12.0;
+  const NodeId n0 = b.add_intersection({0, 0});
+  const NodeId n1 = b.add_intersection({180, 0});
+  const NodeId n2 = b.add_intersection({180, 140});
+  const NodeId n3 = b.add_intersection({0, 140});
+  b.add_two_way(n0, n1, rs);
+  b.add_two_way(n1, n2, rs);
+  b.add_two_way(n2, n3, rs);
+  b.add_two_way(n3, n0, rs);
+  const RoadNetwork net = b.build();
+
+  struct Platoon {
+    NodeId from, to;
+    int lane;
+    int vehicles;
+    double front;  // front vehicle's position from the segment start (m)
+  };
+  // Eleven occupied lanes. In lane-index order the first four hold 5, 1, 8
+  // and 3 vehicles; fronts at 150+ m on 180 m and 110+ m on 140 m segments
+  // are inside the 40 m lookahead from the first step.
+  const Platoon platoons[] = {
+      {n0, n1, 0, 5, 165.0}, {n0, n1, 1, 1, 60.0},  {n0, n1, 2, 8, 150.0},
+      {n1, n0, 0, 3, 170.0}, {n1, n0, 2, 6, 100.0}, {n1, n2, 1, 7, 130.0},
+      {n2, n1, 0, 2, 120.0}, {n2, n3, 0, 4, 175.0}, {n2, n3, 2, 9, 170.0},
+      {n3, n2, 1, 5, 90.0},  {n3, n0, 1, 6, 135.0},
+  };
+
+  struct World {
+    std::unique_ptr<traffic::SimEngine> engine;
+    EventStreamHasher hasher;
+    int replans = 0;
+  };
+  const auto make_world = [&](World& w, bool reference) {
+    traffic::SimConfig sc;
+    sc.seed = 17;
+    if (reference) {
+      w.engine = std::make_unique<ReferenceKernel>(net, sc);
+    } else {
+      w.engine = std::make_unique<traffic::SimEngine>(net, sc);
+    }
+    traffic::SimEngine& engine = *w.engine;
+    // Continuations are one random out-edge drawn from the replanning
+    // vehicle's own stream, like the demand model's replans.
+    engine.set_route_planner([&net, &w](traffic::VehicleId id, NodeId node) {
+      ++w.replans;
+      const auto& out = net.intersection(node).out_edges;
+      traffic::Route route;
+      route.edges = {out[w.engine->draw_for(id) % out.size()]};
+      return route;
+    });
+    w.hasher.bind(&engine);
+    engine.add_observer(&w.hasher);
+    traffic::ExteriorAttributes attrs;
+    attrs.type = traffic::BodyType::Sedan;
+    int n = 0;
+    for (const Platoon& p : platoons) {
+      const roadnet::EdgeId edge = *net.edge_between(p.from, p.to);
+      for (int v = 0; v < p.vehicles; ++v, ++n) {
+        // Mixed desired speeds, so followers close in, brake and change lanes.
+        const double factor = 0.8 + 0.05 * static_cast<double>(n % 8);
+        const traffic::VehicleId id = engine.spawn_at(edge, p.lane, p.front - 9.0 * v, attrs,
+                                                      traffic::Route{}, factor);
+        ASSERT_TRUE(id.valid());
+      }
+    }
+  };
+  World fast;
+  World ref;
+  make_world(fast, false);
+  make_world(ref, true);
+
+  ASSERT_EQ(fast.engine->occupied_lane_count(), 11u);
+  // Lane-index order is segment-major; the first group of four is uneven.
+  std::vector<std::size_t> first_group;
+  for (const roadnet::Segment& seg : net.segments()) {
+    for (int lane = 0; lane < seg.lanes && first_group.size() < 4; ++lane) {
+      const std::size_t n = fast.engine->lane_vehicles(seg.id, lane).size();
+      if (n > 0) first_group.push_back(n);
+    }
+  }
+  ASSERT_EQ(first_group, (std::vector<std::size_t>{5, 1, 8, 3}));
+  fast.engine->step();
+  ref.engine->step();
+  // Only the dynamics phase replans on the first step: nobody has reached
+  // a segment end yet, so these are lookahead replans of front vehicles.
+  EXPECT_GT(fast.replans, 0);
+
+  const auto engine_state = [](const traffic::SimEngine& engine) {
+    serve::Snapshot snap;
+    engine.save(snap);
+    return snap.section("engine");
+  };
+  for (int step = 1; step <= 600; ++step) {
+    ASSERT_EQ(engine_state(*fast.engine), engine_state(*ref.engine))
+        << "engine state diverged after step " << step;
+    ASSERT_EQ(fast.replans, ref.replans) << "after step " << step;
+    fast.engine->step();
+    ref.engine->step();
+  }
+  EXPECT_EQ(fast.hasher.hash(), ref.hasher.hash());
+  EXPECT_GT(fast.engine->total_transits(), 50u);
+  const auto& kernel = static_cast<const ReferenceKernel&>(*ref.engine);
+  EXPECT_EQ(kernel.violation_count(), 0u)
+      << (kernel.violations().empty() ? "" : kernel.violations().front());
 }
 
 TEST(ReferenceKernel, PopulationScanMatchesCounter) {

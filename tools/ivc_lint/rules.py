@@ -87,7 +87,7 @@ SNAPSHOT_TYPES = {"SnapshotAccess", "ByteWriter", "ByteReader", "Snapshot"}
 
 HOT_FIELDS = {
     "position", "prev_position", "speed", "length", "desired_speed_factor",
-    "driver", "edge", "lane", "lane_change_cooldown", "is_patrol",
+    "edge", "lane", "lane_change_cooldown", "is_patrol",
 }
 # src/traffic/ owns the layout; the snapshot serializer is the one
 # sanctioned outside consumer — a full-fidelity dump of every column is
