@@ -58,8 +58,9 @@ int serve_under_load(const experiment::ScenarioConfig& config, int readers,
     });
   }
   for (std::thread& t : pool) t.join();
-  // Readers leave once the service has finished; with no readers, wait
-  // here — stop() would otherwise halt the stepper before its first step.
+  // Readers leave once the service has finished (converged, timed out or
+  // failed); with no readers, wait here — stop() would otherwise halt the
+  // stepper before its first step.
   while (!service.finished()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   service.stop();
 
@@ -79,6 +80,11 @@ int serve_under_load(const experiment::ScenarioConfig& config, int readers,
       static_cast<long long>(final_view.truth), stable, final_view.checkpoints.size(),
       final_view.quiescent ? "yes" : "no",
       static_cast<unsigned long long>(total_queries.load()));
+  if (final_view.failed) {
+    std::printf("FAIL: stepping failed after step %llu: %s\n",
+                static_cast<unsigned long long>(final_view.step), service.error().c_str());
+    return 1;
+  }
   if (torn.load()) {
     std::printf("FAIL: a reader observed time running backwards (torn read)\n");
     return 1;

@@ -28,6 +28,8 @@ CountingProtocol::CountingProtocol(traffic::SimEngine& engine, ProtocolConfig co
   }
   outbox_.resize(net.num_intersections());
   marker_on_edge_.assign(net.num_segments(), traffic::VehicleId::invalid());
+  changed_.reserve(checkpoints_.size());
+  changed_flag_.assign(checkpoints_.size(), 0);
   engine_.add_observer(this);
 }
 
@@ -54,7 +56,9 @@ void CountingProtocol::start() {
   started_ = true;
   const util::SimTime now = engine_.now();
   for (const NodeId seed : seeds_) {
-    checkpoints_[seed.value()].activate_as_seed(now);
+    Checkpoint& cp = checkpoints_[seed.value()];
+    cp.activate_as_seed(now);
+    note_activated(cp);
   }
 }
 
@@ -63,19 +67,57 @@ const Checkpoint& CountingProtocol::checkpoint(NodeId node) const {
   return checkpoints_[node.value()];
 }
 
-std::size_t CountingProtocol::active_count() const {
-  std::size_t n = 0;
-  for (const auto& cp : checkpoints_) {
-    if (cp.is_active()) ++n;
-  }
-  return n;
+void CountingProtocol::clear_changed() {
+  for (const NodeId node : changed_) changed_flag_[node.value()] = 0;
+  changed_.clear();
 }
 
-bool CountingProtocol::all_active() const { return active_count() == checkpoints_.size(); }
+CountingProtocol::Aggregates CountingProtocol::scan_aggregates() const {
+  Aggregates sum;
+  for (const auto& cp : checkpoints_) {
+    sum.live_total += cp.local_total();
+    if (cp.is_active()) ++sum.active;
+    if (cp.is_stable()) ++sum.stable;
+  }
+  sum.markers_in_flight = obus_.labels_in_flight();
+  return sum;
+}
 
-bool CountingProtocol::all_stable() const {
-  return std::all_of(checkpoints_.begin(), checkpoints_.end(),
-                     [](const Checkpoint& cp) { return cp.is_stable(); });
+bool CountingProtocol::debug_aggregates_consistent() const {
+  if (scan_aggregates() != aggregates_) return false;
+  std::vector<std::uint8_t> listed(checkpoints_.size(), 0);
+  for (const NodeId node : changed_) {
+    if (changed_flag_[node.value()] == 0 || listed[node.value()] != 0) return false;
+    listed[node.value()] = 1;
+  }
+  return listed == changed_flag_;
+}
+
+void CountingProtocol::reset_aggregates() {
+  aggregates_ = scan_aggregates();
+  changed_.clear();
+  for (const auto& cp : checkpoints_) changed_.push_back(cp.node());
+  changed_flag_.assign(checkpoints_.size(), 1);
+}
+
+void CountingProtocol::mark_changed(const Checkpoint& cp) {
+  std::uint8_t& flag = changed_flag_[cp.node().value()];
+  if (flag != 0) return;
+  flag = 1;
+  changed_.push_back(cp.node());
+}
+
+void CountingProtocol::add_to_total(const Checkpoint& cp, std::int64_t delta) {
+  aggregates_.live_total += delta;
+  mark_changed(cp);
+}
+
+void CountingProtocol::note_activated(const Checkpoint& cp) {
+  ++aggregates_.active;
+  // Activation starts every direction but the predecessor's, so only a
+  // checkpoint with no other inbound direction is stable at once.
+  if (cp.is_stable()) ++aggregates_.stable;
+  mark_changed(cp);
 }
 
 bool CountingProtocol::collection_complete() const {
@@ -83,17 +125,6 @@ bool CountingProtocol::collection_complete() const {
   return std::all_of(seeds_.begin(), seeds_.end(), [this](NodeId seed) {
     return checkpoints_[seed.value()].report_sent();
   });
-}
-
-bool CountingProtocol::quiescent() const {
-  if (!all_stable()) return false;
-  return obus_.labels_in_flight() == 0;
-}
-
-std::int64_t CountingProtocol::live_total() const {
-  std::int64_t total = 0;
-  for (const auto& cp : checkpoints_) total += cp.local_total();
-  return total;
 }
 
 std::int64_t CountingProtocol::collected_total() const {
@@ -353,12 +384,18 @@ void CountingProtocol::on_transit(const traffic::TransitEvent& event) {
     const NodeId issuer = obu.label->issuer;
     if (!cp.is_active()) {
       cp.activate_from_label(event.from_edge, now);
+      note_activated(cp);
       ++stats_.activations_by_label;
       // No explicit "child" ack: the subtree report this checkpoint will
       // eventually send to its predecessor doubles as the ack (Alg. 2
       // sends exactly one upward message per checkpoint).
     } else {
+      const bool was_stable = cp.is_stable();
       cp.marker_arrived(event.from_edge, now);
+      if (!was_stable && cp.is_stable()) {
+        ++aggregates_.stable;
+        mark_changed(cp);
+      }
       if (config_.collection) {
         send_message(event.node, issuer, v2x::TreeAck{event.node, false}, now);
       }
@@ -368,6 +405,7 @@ void CountingProtocol::on_transit(const traffic::TransitEvent& event) {
       // overtook this marker).
       if (obu.overtake_delta != 0) {
         cp.apply_adjustment(obu.overtake_delta, AdjustReason::MarkerOvertaken);
+        add_to_total(cp, obu.overtake_delta);
         if (oracle_ != nullptr) oracle_->on_adjustment(event.node, obu.overtake_delta);
       }
       // Plus side: countable vehicles still on the marked edge that entered
@@ -387,11 +425,13 @@ void CountingProtocol::on_transit(const traffic::TransitEvent& event) {
       }
       if (plus != 0) {
         cp.apply_adjustment(plus, AdjustReason::OvertakeByMarker);
+        add_to_total(cp, plus);
         if (oracle_ != nullptr) oracle_->on_adjustment(event.node, plus);
       }
     }
     marker_on_edge_[event.from_edge.value()] = traffic::VehicleId::invalid();
     obu.label.reset();
+    --aggregates_.markers_in_flight;
     obu.overtake_delta = 0;
     ++stats_.markers_consumed;
     maybe_send_report(cp, now);
@@ -404,6 +444,7 @@ void CountingProtocol::on_transit(const traffic::TransitEvent& event) {
     if (from_seg.is_inbound_gateway()) {
       if (cp.is_border()) {
         cp.interaction_entered();
+        add_to_total(cp, 1);
         obu.counted = true;
         ++stats_.interaction_entries;
         ++stats_.count_events;
@@ -414,6 +455,7 @@ void CountingProtocol::on_transit(const traffic::TransitEvent& event) {
       IVC_ASSERT(dir != nullptr);
       if (dir->state == DirectionState::Counting) {
         cp.count_vehicle(event.from_edge);
+        add_to_total(cp, 1);
         obu.counted = true;
         ++stats_.count_events;
         if (oracle_ != nullptr) oracle_->on_counted(event.vehicle, event.node, now);
@@ -426,6 +468,7 @@ void CountingProtocol::on_transit(const traffic::TransitEvent& event) {
   if (!is_patrol && cp.is_active() && cp.is_border() && to_seg.is_outbound_gateway() &&
       obu.counted) {
     cp.interaction_exited();
+    add_to_total(cp, -1);
     ++stats_.interaction_exits;
     if (oracle_ != nullptr) oracle_->on_interaction_exit(event.vehicle, event.node);
   }
@@ -446,6 +489,7 @@ void CountingProtocol::on_transit(const traffic::TransitEvent& event) {
         obu.label = v2x::Label{event.node, event.to_edge, now};
         obu.overtake_delta = 0;
         marker_on_edge_[event.to_edge.value()] = event.vehicle;
+        ++aggregates_.markers_in_flight;
         cp.record_label_issued(event.to_edge, now);
         ++stats_.labels_issued;
       } else {
@@ -456,6 +500,7 @@ void CountingProtocol::on_transit(const traffic::TransitEvent& event) {
         // but only if it is countable under the target spec.
         if (matches) {
           cp.apply_adjustment(-1, AdjustReason::LossCompensation);
+          add_to_total(cp, -1);
           if (oracle_ != nullptr) oracle_->on_adjustment(event.node, -1);
         }
       }

@@ -85,22 +85,37 @@ class CountingProtocol final : public traffic::SimObserver {
   [[nodiscard]] const std::vector<roadnet::NodeId>& seeds() const { return seeds_; }
   [[nodiscard]] bool started() const { return started_; }
 
-  [[nodiscard]] std::size_t active_count() const;
-  [[nodiscard]] bool all_active() const;
+  // The global aggregates below are O(1): the protocol keeps them current
+  // where a checkpoint's count or state changes, and
+  // debug_aggregates_consistent() recomputes them by full scans.
+  [[nodiscard]] std::size_t active_count() const { return aggregates_.active; }
+  [[nodiscard]] bool all_active() const { return aggregates_.active == checkpoints_.size(); }
   // Every checkpoint active and no non-interaction direction still
   // counting: the closed-system convergence of Alg. 3, equally the
   // open-system "complete status" of Alg. 5 (Corollary 1).
-  [[nodiscard]] bool all_stable() const;
+  [[nodiscard]] bool all_stable() const { return aggregates_.stable == checkpoints_.size(); }
   // Collection (Alg. 2/4) finished: every seed holds its tree total.
   [[nodiscard]] bool collection_complete() const;
   // No marker in flight or pending: together with all_stable this is the
   // point where every compensation has landed and totals are exact.
-  [[nodiscard]] bool quiescent() const;
+  [[nodiscard]] bool quiescent() const {
+    return all_stable() && aggregates_.markers_in_flight == 0;
+  }
 
   // Live global view: sum of all local views (the distributed result).
-  [[nodiscard]] std::int64_t live_total() const;
+  [[nodiscard]] std::int64_t live_total() const { return aggregates_.live_total; }
   // Sum of the seed tree totals (requires collection_complete()).
   [[nodiscard]] std::int64_t collected_total() const;
+
+  // Checkpoints whose published state (local total, active, stable) may
+  // have changed since the last clear_changed(), each listed once, in
+  // first-change order. A per-checkpoint flag deduplicates the list, so it
+  // never outgrows the checkpoint count even when nobody drains it.
+  [[nodiscard]] const std::vector<roadnet::NodeId>& changed() const { return changed_; }
+  void clear_changed();
+  // Full-scan recount of every running aggregate and of the changed
+  // list's bookkeeping; true when they all agree (tests, differential runs).
+  [[nodiscard]] bool debug_aggregates_consistent() const;
 
   [[nodiscard]] const ProtocolStats& stats() const { return stats_; }
   [[nodiscard]] const ProtocolConfig& config() const { return config_; }
@@ -119,6 +134,23 @@ class CountingProtocol final : public traffic::SimObserver {
     v2x::Message msg;
     util::SimTime since;
   };
+
+  struct Aggregates {
+    std::int64_t live_total = 0;
+    std::size_t active = 0;
+    std::size_t stable = 0;
+    std::size_t markers_in_flight = 0;
+    bool operator==(const Aggregates&) const = default;
+  };
+
+  [[nodiscard]] Aggregates scan_aggregates() const;
+  // Snapshot restore: re-derive the aggregates from the restored state and
+  // list every checkpoint as changed.
+  void reset_aggregates();
+  // Bookkeeping at the sites that change a checkpoint's published state.
+  void mark_changed(const Checkpoint& cp);
+  void add_to_total(const Checkpoint& cp, std::int64_t delta);
+  void note_activated(const Checkpoint& cp);
 
   void consume_or_forward(v2x::Message msg, roadnet::NodeId here, util::SimTime now);
   void consume(Checkpoint& cp, const v2x::Message& msg, util::SimTime now);
@@ -152,6 +184,10 @@ class CountingProtocol final : public traffic::SimObserver {
 
   std::unordered_map<std::uint32_t, std::vector<std::uint16_t>> next_hop_cache_;
   ProtocolStats stats_;
+
+  Aggregates aggregates_;
+  std::vector<roadnet::NodeId> changed_;
+  std::vector<std::uint8_t> changed_flag_;  // by NodeId: listed in changed_
 };
 
 }  // namespace ivc::counting

@@ -316,6 +316,11 @@ void SimEngine::restore(const serve::Snapshot& snap) {
 
   const std::size_t slots = r.count(serve::kSlotBytes);
   store_ = VehicleStore{};
+  // The id of each slot's live vehicle (invalid for a dead slot): every
+  // vehicle id decoded below is checked against this table, each at most
+  // once per list, before anything indexes the store with it.
+  std::vector<VehicleId> live_ids(slots);
+  std::size_t live_records = 0;
   for (std::size_t i = 0; i < slots; ++i) {
     const std::uint32_t slot = store_.push_slot();
     IVC_ASSERT(slot == i);
@@ -343,40 +348,73 @@ void SimEngine::restore(const serve::Snapshot& snap) {
     cold.entry_seq = r.u64();
     cold.rng_key = r.u64();
     cold.rng_draws = r.u64();
+    serve::check(cold.id.slot() == i, "vehicle record id does not match its slot");
+    if (cold.alive) {
+      live_ids[i] = cold.id;
+      ++live_records;
+    }
   }
-  IVC_ASSERT(store_.rows_consistent());
+  serve::check(store_.rows_consistent(), "vehicle store rows differ in length");
+
+  const auto live = [&](VehicleId id) { return id.slot() < slots && live_ids[id.slot()] == id; };
+  std::vector<std::uint8_t> seen(slots, 0);
+  const auto first_sight = [&](std::uint32_t slot) { return std::exchange(seen[slot], 1) == 0; };
 
   free_slots_.clear();
   const std::size_t free_count = r.count(sizeof(std::uint32_t));
   free_slots_.reserve(free_count);
-  for (std::size_t i = 0; i < free_count; ++i) free_slots_.push_back(r.u32());
+  for (std::size_t i = 0; i < free_count; ++i) {
+    const std::uint32_t slot = r.u32();
+    serve::check(slot < slots && !live_ids[slot].valid() && first_sight(slot),
+                 "free slot out of range, alive or listed twice");
+    free_slots_.push_back(slot);
+  }
   pending_free_.clear();
 
   alive_.clear();
   const std::size_t alive_count = r.count(serve::kVidBytes);
   alive_.reserve(alive_count);
-  for (std::size_t i = 0; i < alive_count; ++i) alive_.push_back(serve::read_vid(r));
+  std::fill(seen.begin(), seen.end(), 0);
+  for (std::size_t i = 0; i < alive_count; ++i) {
+    const VehicleId id = serve::read_vid(r);
+    serve::check(live(id) && first_sight(id.slot()), "alive vehicle id not live or listed twice");
+    alive_.push_back(id);
+  }
+  serve::check(alive_.size() == live_records, "alive index misses a live vehicle record");
   alive_pos_.assign(slots, 0);
   for (std::size_t i = 0; i < alive_.size(); ++i) {
-    IVC_ASSERT(alive_[i].slot() < slots);
     alive_pos_[alive_[i].slot()] = static_cast<std::uint32_t>(i);
   }
 
   watched_.clear();
   const std::size_t watched_count = r.count(serve::kVidBytes);
   watched_.reserve(watched_count);
-  for (std::size_t i = 0; i < watched_count; ++i) watched_.push_back(serve::read_vid(r));
+  for (std::size_t i = 0; i < watched_count; ++i) {
+    const VehicleId id = serve::read_vid(r);
+    serve::check(live(id), "watched vehicle id not live");
+    watched_.push_back(id);
+  }
 
   const std::size_t lane_count = r.count(sizeof(std::uint64_t));
   serve::check(lane_count == lanes_.size(), "lane table size differs");
   edge_count_.assign(edge_count_.size(), 0);
   occupied_lanes_.clear();
+  std::fill(seen.begin(), seen.end(), 0);
+  std::size_t in_lanes = 0;
   for (std::size_t li = 0; li < lane_count; ++li) {
     std::vector<VehicleId>& lane = lanes_[li];
     lane.clear();
     const std::size_t n = r.count(serve::kVidBytes);
     lane.reserve(n);
-    for (std::size_t v = 0; v < n; ++v) lane.push_back(serve::read_vid(r));
+    for (std::size_t v = 0; v < n; ++v) {
+      const VehicleId id = serve::read_vid(r);
+      serve::check(live(id) && first_sight(id.slot()) &&
+                       store_.edge[id.slot()] == lane_refs_[li].edge &&
+                       store_.lane[id.slot()] == lane_refs_[li].lane,
+                   "lane vehicle id not live, listed twice or on another lane");
+      lane.push_back(id);
+    }
+    in_lanes += n;
     if (!lane.empty()) {
       occupied_lanes_.push_back(static_cast<std::uint32_t>(li));
       edge_count_[lane_refs_[li].edge.value()] += static_cast<std::uint32_t>(lane.size());
@@ -386,8 +424,10 @@ void SimEngine::restore(const serve::Snapshot& snap) {
   for (auto& candidates : node_candidates_) candidates.clear();
   active_nodes_.clear();
 
+  serve::check(in_lanes == alive_.size(), "lane table misses an alive vehicle");
+
   r.expect_end("engine");
-  IVC_ASSERT(debug_occupancy_consistent());
+  serve::check(debug_occupancy_consistent(), "restored lane occupancy is inconsistent");
 }
 
 }  // namespace ivc::traffic
@@ -621,6 +661,9 @@ void SnapshotAccess::restore(counting::CountingProtocol& p, const Snapshot& snap
   p.next_hop_cache_.clear();
 
   r.expect_end("protocol");
+  // Not serialized: recounted from the restored checkpoints, with every
+  // checkpoint listed as changed so a service republishes them all.
+  p.reset_aggregates();
 }
 
 void SnapshotAccess::save(const counting::Oracle& oracle, Snapshot& snap) {

@@ -77,6 +77,16 @@ void EventStreamHasher::on_despawn(const traffic::DespawnEvent& e) {
 
 namespace {
 
+// Steps `world` once and cross-checks the protocol's running aggregates
+// against their full-scan recount; `failure` keeps the first mismatch.
+void step_checked(serve::SimWorld& world, std::string& failure) {
+  world.step();
+  if (failure.empty() && !world.protocol().debug_aggregates_consistent()) {
+    failure = util::format("protocol aggregates disagree with a full scan after step %llu",
+                           static_cast<unsigned long long>(world.engine().step_count()));
+  }
+}
+
 RunDigest run_digest(const experiment::ScenarioConfig& config, const EngineFactory& factory,
                      bool reference) {
   RunDigest digest;
@@ -121,8 +131,7 @@ RunDigest run_digest(const experiment::ScenarioConfig& config, const EngineFacto
     for (const auto& cp : protocol.checkpoints()) {
       digest.checkpoint_totals.push_back(cp.local_total());
     }
-    // The engine dies with run_scenario_with's scope; harvest the
-    // reference kernel's findings while it is still alive.
+    // Harvest the reference kernel's findings while the engine is alive.
     if (kernel != nullptr) {
       digest.violations = kernel->violations();
       if (kernel->violation_count() > digest.violations.size()) {
@@ -134,7 +143,12 @@ RunDigest run_digest(const experiment::ScenarioConfig& config, const EngineFacto
     }
   };
 
-  const experiment::RunMetrics metrics = experiment::run_scenario_with(config, hooks);
+  // run_scenario_with's loop, with the aggregates checked after every step.
+  std::string failure;
+  serve::SimWorld world(config, hooks);
+  while (!world.done()) step_checked(world, failure);
+  const experiment::RunMetrics metrics = world.finish();
+  if (!failure.empty()) digest.violations.insert(digest.violations.begin(), failure);
 
   digest.event_hash = hasher.hash();
   digest.events = hasher.event_count();
@@ -188,8 +202,9 @@ RunDigest run_digest_roundtrip(const experiment::ScenarioConfig& config,
   serve::SimWorld original(config, hooks);
   // Saving before the first step is illegal (the initial placement's spawn
   // events are still buffered), so the cut point is at least step 1.
+  std::string failure;
   do {
-    original.step();
+    step_checked(original, failure);
   } while (!original.done() && original.engine().step_count() < snapshot_at);
 
   serve::Snapshot snap;
@@ -199,8 +214,12 @@ RunDigest run_digest_roundtrip(const experiment::ScenarioConfig& config,
 
   serve::SimWorld resumed(config, hooks, serve::SimWorld::Mode::Restore);
   resumed.restore(parsed);
-  while (!resumed.done()) resumed.step();
+  if (failure.empty() && !resumed.protocol().debug_aggregates_consistent()) {
+    failure = "protocol aggregates disagree with a full scan after restore";
+  }
+  while (!resumed.done()) step_checked(resumed, failure);
   const experiment::RunMetrics metrics = resumed.finish();
+  if (!failure.empty()) digest.violations.push_back(failure);
 
   digest.event_hash = hasher.hash();
   digest.events = hasher.event_count();
@@ -225,6 +244,7 @@ std::string compare(const RunDigest& fast, const RunDigest& ref) {
   if (!ref.violations.empty()) {
     return "reference invariant violation: " + ref.violations.front();
   }
+  if (!fast.violations.empty()) return "invariant violation: " + fast.violations.front();
   const auto mismatch = [](const char* field, auto a, auto b) {
     return util::format("%s: fast=%lld reference=%lld", field, static_cast<long long>(a),
                         static_cast<long long>(b));

@@ -76,8 +76,9 @@ struct RunDigest {
   bool collection_converged = false;
   bool quiescent = false;
   std::vector<std::int64_t> checkpoint_totals;  // local view per NodeId
-  // Reference-side failures: invariant recounts and route validations
-  // (always empty for the fast run).
+  // Invariant failures: the protocol's aggregates disagreeing with their
+  // full-scan recount after a step (checked on every run), plus, on the
+  // reference run, the kernel's invariant recounts and route validations.
   std::vector<std::string> violations;
 };
 

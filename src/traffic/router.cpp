@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <functional>
 
 #include "roadnet/graph.hpp"
 #include "util/assert.hpp"
@@ -29,8 +29,21 @@ struct QueueEntry {
 }  // namespace
 
 Router::Router(const roadnet::RoadNetwork& net, std::uint64_t seed)
-    : net_(net), seq_(util::derive_seed(seed, "router-seq")) {
-  free_flow_.reserve(net_.num_segments());
+    : net_(net),
+      seq_(util::derive_seed(seed, "router-seq")),
+      excluded_((net.num_segments() + 63) / 64, 0) {
+  arc_begin_.reserve(net_.num_intersections() + 1);
+  position_.reserve(net_.num_intersections());
+  for (const auto& node : net_.intersections()) {
+    IVC_ASSERT(node.id.value() == position_.size());
+    arc_begin_.push_back(static_cast<std::uint32_t>(arcs_.size()));
+    position_.push_back(node.position);
+    for (const roadnet::EdgeId e : node.out_edges) {
+      arcs_.push_back({net_.segment(e).to.value(), e, net_.free_flow_time(e)});
+    }
+  }
+  arc_begin_.push_back(static_cast<std::uint32_t>(arcs_.size()));
+
   double max_speed = 0.0;
   // Admissibility guard: the builder accepts explicit segment lengths, and
   // nothing forbids a length shorter than the straight-line distance
@@ -39,7 +52,6 @@ Router::Router(const roadnet::RoadNetwork& net, std::uint64_t seed)
   // lower bounds on every buildable map.
   double shortcut = 1.0;
   for (const auto& seg : net_.segments()) {
-    free_flow_.push_back(net_.free_flow_time(seg.id));
     max_speed = std::max(max_speed, seg.speed_limit);
     if (seg.is_gateway()) continue;  // plan() never traverses gateways
     const geom::Vec2 d = net_.intersection(seg.to).position -
@@ -51,7 +63,10 @@ Router::Router(const roadnet::RoadNetwork& net, std::uint64_t seed)
   heuristic_rate_ = max_speed > 0.0 ? kJitterLo * shortcut / max_speed : 0.0;
 }
 
-void Router::exclude_edge(roadnet::EdgeId e) { excluded_.insert(e); }
+void Router::exclude_edge(roadnet::EdgeId e) {
+  IVC_ASSERT(e.valid() && e.value() < net_.num_segments());
+  excluded_[e.value() >> 6] |= std::uint64_t{1} << (e.value() & 63);
+}
 
 std::vector<roadnet::EdgeId> Router::plan(roadnet::NodeId from, roadnet::NodeId to,
                                           util::StreamRng& rng) const {
@@ -64,6 +79,7 @@ std::vector<roadnet::EdgeId> Router::plan(roadnet::NodeId from, roadnet::NodeId 
   // keeps the hot path allocation-free without any locking.
   static thread_local std::vector<double> dist_scratch;
   static thread_local std::vector<roadnet::EdgeId> parent_scratch;
+  static thread_local std::vector<QueueEntry> heap;
   // The scratch outlives any single Router (thread_local): the same pool
   // thread may plan on a city-scale network and then on a toy one for a
   // different engine. Every entry below is (re)written for THIS network —
@@ -73,6 +89,7 @@ std::vector<roadnet::EdgeId> Router::plan(roadnet::NodeId from, roadnet::NodeId 
   if (dist_scratch.capacity() > 4 * n + 64) {
     std::vector<double>().swap(dist_scratch);
     std::vector<roadnet::EdgeId>().swap(parent_scratch);
+    std::vector<QueueEntry>().swap(heap);
   }
   dist_scratch.assign(n, roadnet::kUnreachable);
   parent_scratch.assign(n, roadnet::EdgeId::invalid());
@@ -83,29 +100,36 @@ std::vector<roadnet::EdgeId> Router::plan(roadnet::NodeId from, roadnet::NodeId 
   // a city-scale grid this expands a corridor toward the destination
   // instead of flooding the whole map (the planner runs inside the
   // engine's step, so its cost is part of the per-step budget).
-  const geom::Vec2 goal = net_.intersection(to).position;
-  const auto heuristic = [&](roadnet::NodeId v) {
-    const geom::Vec2 d = net_.intersection(v).position - goal;
+  const geom::Vec2 goal = position_[to.value()];
+  const auto heuristic = [&](std::uint32_t v) {
+    const geom::Vec2 d = position_[v] - goal;
     return heuristic_rate_ * std::sqrt(d.x * d.x + d.y * d.y);
   };
 
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> heap;
+  // A min-heap by (estimate, node): the same push_heap/pop_heap sequence
+  // std::priority_queue runs, on a vector reused across calls.
+  const auto push = [&](const QueueEntry& entry) {
+    heap.push_back(entry);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+  };
+  heap.clear();
   dist_scratch[from.value()] = 0.0;
-  heap.push({heuristic(from), 0.0, from.value()});
+  push({heuristic(from.value()), 0.0, from.value()});
   while (!heap.empty()) {
-    const auto [est, d, u] = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const auto [est, d, u] = heap.back();
+    heap.pop_back();
     if (d > dist_scratch[u]) continue;
-    if (roadnet::NodeId{u} == to) break;
-    for (const roadnet::EdgeId e : net_.intersection(roadnet::NodeId{u}).out_edges) {
-      if (excluded_.contains(e)) continue;
-      const auto v = net_.segment(e).to.value();
-      const double w = free_flow_[e.value()] * rng.uniform(kJitterLo, kJitterHi);
+    if (u == to.value()) break;
+    for (std::uint32_t a = arc_begin_[u]; a != arc_begin_[u + 1]; ++a) {
+      const Arc& arc = arcs_[a];
+      if (excluded(arc.edge)) continue;
+      const double w = arc.free_flow * rng.uniform(kJitterLo, kJitterHi);
       const double nd = d + w;
-      if (nd < dist_scratch[v]) {
-        dist_scratch[v] = nd;
-        parent_scratch[v] = e;
-        heap.push({nd + heuristic(roadnet::NodeId{v}), nd, v});
+      if (nd < dist_scratch[arc.to]) {
+        dist_scratch[arc.to] = nd;
+        parent_scratch[arc.to] = arc.edge;
+        push({nd + heuristic(arc.to), nd, arc.to});
       }
     }
   }

@@ -7,9 +7,10 @@
 // creates the orphan deadlock that patrol cars must break (Theorem 3).
 #pragma once
 
-#include <unordered_set>
+#include <cstdint>
 #include <vector>
 
+#include "geom/vec2.hpp"
 #include "roadnet/road_network.hpp"
 #include "util/rng.hpp"
 
@@ -34,9 +35,6 @@ class Router {
   // concurrently from the engine's dynamics shards, so the exclusion set
   // must be frozen before the first step.
   void exclude_edge(roadnet::EdgeId e);
-  [[nodiscard]] const std::unordered_set<roadnet::EdgeId>& excluded() const {
-    return excluded_;
-  }
 
   // Shortest jittered path from `from` to `to` over non-excluded interior
   // edges; all jitter comes from the caller's counter-based stream, so two
@@ -63,13 +61,28 @@ class Router {
   }
 
  private:
+  // One interior out-edge of the flat adjacency, with its free-flow time
+  // cached: plan() relaxes tens of thousands of edges per second at city
+  // scale and must not walk the segment table to re-derive static weights.
+  struct Arc {
+    std::uint32_t to;
+    roadnet::EdgeId edge;
+    double free_flow;  // seconds
+  };
+
+  [[nodiscard]] bool excluded(roadnet::EdgeId e) const {
+    return ((excluded_[e.value() >> 6] >> (e.value() & 63)) & 1u) != 0;
+  }
+
   const roadnet::RoadNetwork& net_;
   util::StreamRng seq_;  // backs the convenience overloads only
-  std::unordered_set<roadnet::EdgeId> excluded_;
-  // Free-flow time per edge, cached once: plan() relaxes tens of thousands
-  // of edges per second at city scale and must not re-derive static edge
-  // weights from the segment table every time.
-  std::vector<double> free_flow_;
+  // Node u's arcs are arcs_[arc_begin_[u], arc_begin_[u + 1]), in
+  // out_edges order. plan() draws one jitter per relaxed arc in this
+  // order, so the order is part of every planned route.
+  std::vector<std::uint32_t> arc_begin_;
+  std::vector<Arc> arcs_;
+  std::vector<geom::Vec2> position_;     // by NodeId, for the A* bound
+  std::vector<std::uint64_t> excluded_;  // bitmap by EdgeId
   // A* lower bound in seconds per straight-line meter: jitter floor over
   // the fastest segment, corrected for shortcut segments (length shorter
   // than the endpoint distance) so the heuristic stays admissible.

@@ -2,6 +2,8 @@
 // live-population tracking with continuous border flows.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "counting_test_helpers.hpp"
 
 namespace ivc::counting {
@@ -26,6 +28,10 @@ struct OpenCase {
   std::size_t seeds;
   std::uint64_t rng;
 };
+
+// gtest prints the case (and gtest_discover_tests puts that print into the
+// ctest name) by its name, not by its raw bytes, which hold a pointer.
+void PrintTo(const OpenCase& c, std::ostream* os) { *os << c.name; }
 
 class OpenSystemTest : public ::testing::TestWithParam<OpenCase> {};
 

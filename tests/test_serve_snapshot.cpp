@@ -10,6 +10,7 @@
 // full 120-seed sweep lives in test_differential_fuzz.cpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -206,17 +207,54 @@ TEST(SimWorldSnapshot, RoundtripReproducesUninterruptedRunBitExact) {
   EXPECT_GT(diff.fast.steps, 7u);
 }
 
-// Hostile input: every count prefix that sizes a container or a loop is
-// checked against the bytes left before anything is reserved. Writing 2^40
-// over each of the first 4,000 byte offsets of a real world snapshot lands
-// on counts, ids, edges and doubles alike; restore must either succeed or
-// reject the bytes with SnapshotError — never std::bad_alloc,
-// std::length_error or anything else.
-TEST(SimWorldSnapshot, HugeLengthPrefixesAreRejectedBeforeAllocating) {
+// The hostile-input tests corrupt the snapshot of this smoke open world
+// after 200 steps.
+experiment::ScenarioConfig open_smoke_config() {
   const experiment::NamedScenario* named =
       experiment::ScenarioRegistry::builtin().find("manhattan-open-steady");
-  ASSERT_NE(named, nullptr);
-  const experiment::ScenarioConfig config = named->make(experiment::ScenarioScale::Smoke);
+  return named->make(experiment::ScenarioScale::Smoke);
+}
+
+void put_u64(std::vector<std::uint8_t>& bytes, std::size_t offset, std::uint64_t value) {
+  for (std::size_t b = 0; b < 8; ++b) {
+    bytes[offset + b] = static_cast<std::uint8_t>(value >> (8 * b));
+  }
+}
+
+// Writes `value` over each offset in [0, end) and restores; restore must
+// either succeed or reject the bytes with SnapshotError. Returns the
+// number of rejections.
+std::size_t restore_overwritten(SimWorld& target, const std::vector<std::uint8_t>& bytes,
+                                std::uint64_t value, std::size_t end) {
+  std::size_t rejected = 0;
+  for (std::size_t offset = 0; offset < end; ++offset) {
+    std::vector<std::uint8_t> corrupt = bytes;
+    put_u64(corrupt, offset, value);
+    try {
+      target.restore(Snapshot::from_bytes(corrupt));
+    } catch (const SnapshotError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "value 0x" << std::hex << value << std::dec << " at offset " << offset
+                    << ": restore threw " << typeid(e).name() << " (" << e.what()
+                    << ") instead of SnapshotError";
+      return rejected;
+    }
+  }
+  return rejected;
+}
+
+// Hostile input: every count prefix that sizes a container or a loop is
+// checked against the bytes left before anything is reserved, and every
+// vehicle id the engine decodes is checked against the slot table before
+// anything indexes with it. Writing 2^40 over each of the first 4,000 byte
+// offsets of a real world snapshot, and an out-of-range vehicle id (slot
+// 0x7FFFFFF0) over every offset, lands on counts, ids, edges and doubles
+// alike; restore must either succeed or reject the bytes with
+// SnapshotError — never abort, std::bad_alloc, std::length_error or
+// anything else.
+TEST(SimWorldSnapshot, HugeLengthPrefixesAreRejectedBeforeAllocating) {
+  const experiment::ScenarioConfig config = open_smoke_config();
   SimWorld source(config);
   for (int i = 0; i < 200; ++i) source.step();
   Snapshot snap;
@@ -225,25 +263,48 @@ TEST(SimWorldSnapshot, HugeLengthPrefixesAreRejectedBeforeAllocating) {
   ASSERT_GT(bytes.size(), 4000u + 8u);
 
   SimWorld target(config, SimWorld::Mode::Restore);
-  std::size_t rejected = 0;
-  for (std::size_t offset = 0; offset < 4000; ++offset) {
-    std::vector<std::uint8_t> corrupt = bytes;
-    const std::uint64_t huge = std::uint64_t{1} << 40;
-    for (std::size_t b = 0; b < 8; ++b) {
-      corrupt[offset + b] = static_cast<std::uint8_t>(huge >> (8 * b));
-    }
-    try {
-      target.restore(Snapshot::from_bytes(corrupt));
-    } catch (const SnapshotError&) {
-      ++rejected;
-    } catch (const std::exception& e) {
-      FAIL() << "offset " << offset << ": restore threw " << typeid(e).name() << " ("
-             << e.what() << ") instead of SnapshotError";
-    }
-  }
-  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(restore_overwritten(target, bytes, std::uint64_t{1} << 40, 4000), 0u);
+  EXPECT_GT(restore_overwritten(target, bytes, 0x7FFFFFF0u, bytes.size() - 7), 0u);
   // The target is still a working world: the original snapshot restores.
   EXPECT_NO_THROW(target.restore(snap));
+}
+
+// An out-of-range id inside a lane's vehicle list: every count and every
+// other id still decodes, so only the id check can catch it.
+TEST(SimWorldSnapshot, OutOfRangeLaneVehicleIdIsRejected) {
+  const experiment::ScenarioConfig config = open_smoke_config();
+  SimWorld source(config);
+  for (int i = 0; i < 200; ++i) source.step();
+  Snapshot snap;
+  source.save(snap);
+
+  // The lane table closes the engine section, lanes in segment-major
+  // order: the last occupied lane's last vehicle id is followed only by
+  // the zero counts of the empty lanes after it.
+  std::size_t empty_after = 0;
+  traffic::VehicleId last;
+  const auto& segments = source.network().segments();
+  for (auto seg = segments.rbegin(); seg != segments.rend() && !last.valid(); ++seg) {
+    for (int lane = seg->lanes - 1; lane >= 0 && !last.valid(); --lane) {
+      const auto& vehicles = source.engine().lane_vehicles(seg->id, lane);
+      if (vehicles.empty()) {
+        ++empty_after;
+      } else {
+        last = vehicles.back();
+      }
+    }
+  }
+  ASSERT_TRUE(last.valid());
+  std::vector<std::uint8_t> engine = snap.section("engine");
+  const std::size_t at = engine.size() - 8 * (empty_after + 1);
+  std::vector<std::uint8_t> want(8, 0);
+  put_u64(want, 0, last.value());
+  ASSERT_TRUE(std::equal(want.begin(), want.end(), engine.begin() + static_cast<std::ptrdiff_t>(at)));
+  put_u64(engine, at, traffic::VehicleId{0x7FFFFFF0u, 0}.value());
+  snap.add_section("engine") = engine;
+
+  SimWorld target(config, SimWorld::Mode::Restore);
+  EXPECT_THROW(target.restore(Snapshot::from_bytes(snap.to_bytes())), SnapshotError);
 }
 
 // ---- traces -----------------------------------------------------------------
