@@ -11,7 +11,7 @@
 //   ivc_bench --figure fig2               # a paper figure sweep
 //   ivc_bench --scenario ring-radial-open-rush
 //   ivc_bench --all-scenarios --smoke     # CI: every zoo scenario in seconds
-//   ivc_bench --perf --perf-threads 1,4   # perf run -> BENCH_pr5.json
+//   ivc_bench --perf                      # perf run -> BENCH_pr6.json
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -145,7 +145,6 @@ constexpr const char* kDefaultPerfScenarios =
 
 struct PerfRun {
   const experiment::NamedScenario* entry = nullptr;
-  int threads = 1;  // engine worker count for this run (0 = all cores)
   experiment::RunMetrics metrics;
   ivc::util::PerfCollector collector;
 };
@@ -169,16 +168,10 @@ std::string json_escape(const std::string& s) {
 void write_perf_json(std::ostream& out, const std::vector<PerfRun>& runs, bool smoke) {
   out << "{\n";
   // v3: adds the "host" object (logical core count + kernel identity) so a
-  // consumer can tell whether a threads>1 row was measured on hardware
-  // that could actually run the workers in parallel — the committed
-  // BENCH_pr5.json was taken on a 1-core host and its threads=4 rows
-  // recorded pure overhead, which nothing in the file admitted. Also per
-  // v3, "cpu_seconds" is real thread-CPU time (serial phases included),
-  // not just cumulative sharded busy wall time.
-  // v2 added per-run "threads", per-phase "cpu_seconds" and the explicit
-  // "phase_wall_seconds_sum": with threads > 1 the step phases overlap
-  // across workers, so per-phase wall times no longer sum to the run's
-  // wall clock and a phase's cumulative CPU can exceed its wall time.
+  // consumer can tell whether two reports were measured on comparable
+  // hardware, and per-phase "cpu_seconds" is real thread-CPU time. Rows
+  // carry no "threads" key: every run is serial, and consumers read a
+  // missing "threads" as 1 (as they do for v1 reports).
   out << "  \"schema\": \"ivc-perf-v3\",\n";
   out << "  \"bench\": \"ivc_bench --perf\",\n";
   out << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n";
@@ -194,7 +187,6 @@ void write_perf_json(std::ostream& out, const std::vector<PerfRun>& runs, bool s
     const double wall = m.wall_seconds > 0.0 ? m.wall_seconds : 1e-9;
     out << "    {\n";
     out << "      \"name\": \"" << run.entry->name << "\",\n";
-    out << util::format("      \"threads\": %d,\n", run.threads);
     out << util::format("      \"steps\": %llu,\n",
                         static_cast<unsigned long long>(m.steps));
     out << util::format("      \"sim_minutes\": %.3f,\n", m.sim_minutes);
@@ -225,17 +217,12 @@ void write_perf_json(std::ostream& out, const std::vector<PerfRun>& runs, bool s
     for (std::size_t p = 0; p < phases.size(); ++p) {
       const auto phase = static_cast<util::PerfPhase>(p);
       // "seconds" = the phase's wall clock as the step loop sees it;
-      // "cpu_seconds" = thread-CPU time across every thread that worked
-      // on the phase (caller + parked workers); "busy_seconds" = the
-      // cumulative wall time of sharded executions (0.0 for phases that
-      // only ever ran serially).
+      // "cpu_seconds" = the stepping thread's CPU time in the phase.
       out << util::format("        {\"phase\": \"%s\", \"calls\": %llu, "
-                          "\"seconds\": %.6f, \"cpu_seconds\": %.6f, "
-                          "\"busy_seconds\": %.6f}%s\n",
+                          "\"seconds\": %.6f, \"cpu_seconds\": %.6f}%s\n",
                           util::perf_phase_name(phase),
                           static_cast<unsigned long long>(phases[p].calls),
                           phases[p].seconds(), phases[p].cpu_seconds(),
-                          phases[p].parallel_seconds(),
                           p + 1 < phases.size() ? "," : "");
     }
     out << "      ]\n";
@@ -246,21 +233,10 @@ void write_perf_json(std::ostream& out, const std::vector<PerfRun>& runs, bool s
 }
 
 int run_perf_mode(const experiment::HarnessOptions& opts, const std::string& scenarios_csv,
-                  const std::string& threads_csv, const std::string& out_path) {
+                  const std::string& out_path) {
   const auto& registry = experiment::ScenarioRegistry::builtin();
   const auto scale =
       opts.smoke ? experiment::ScenarioScale::Smoke : experiment::ScenarioScale::Full;
-
-  std::vector<int> thread_counts;
-  {
-    std::vector<int> parsed;
-    if (!parse_int_list(threads_csv, &parsed)) return 1;
-    for (const int t : parsed) {
-      if (std::find(thread_counts.begin(), thread_counts.end(), t) == thread_counts.end()) {
-        thread_counts.push_back(t);
-      }
-    }
-  }
 
   std::vector<const experiment::NamedScenario*> entries;
   for (const auto& token : util::split(scenarios_csv, ',')) {
@@ -282,20 +258,12 @@ int run_perf_mode(const experiment::HarnessOptions& opts, const std::string& sce
     return 1;
   }
 
-  // One run per (scenario, engine thread count); serial first so the
-  // report reads as baseline-then-speedup.
-  std::vector<PerfRun> runs;
-  for (const int threads : thread_counts) {
-    for (const auto* entry : entries) {
-      runs.emplace_back();
-      runs.back().entry = entry;
-      runs.back().threads = threads;
-    }
-  }
+  std::vector<PerfRun> runs(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) runs[i].entry = entries[i];
 
   bool all_ok = true;
-  util::TextTable table({"scenario", "thr", "steps", "steps/s", "events/s", "peak veh",
-                         "spawned", "wall s", "ok"});
+  util::TextTable table({"scenario", "steps", "steps/s", "events/s", "peak veh", "spawned",
+                         "wall s", "ok"});
   for (auto& run : runs) {
     const auto* entry = run.entry;
     experiment::ScenarioConfig scenario = entry->make(scale);
@@ -303,16 +271,14 @@ int run_perf_mode(const experiment::HarnessOptions& opts, const std::string& sce
     if (opts.time_limit_min > 0) {
       scenario.time_limit_minutes = static_cast<double>(opts.time_limit_min);
     }
-    scenario.sim.threads = run.threads;
     scenario.perf = &run.collector;
-    std::cerr << "perf: " << run.entry->name << " threads=" << run.threads << " ("
-              << scenario.describe() << ")\n";
+    std::cerr << "perf: " << run.entry->name << " (" << scenario.describe() << ")\n";
     run.metrics = experiment::run_scenario(scenario);
     const auto& m = run.metrics;
     const double wall = m.wall_seconds > 0.0 ? m.wall_seconds : 1e-9;
     const bool ok = m.constitution_converged && m.total_exact;
     all_ok = all_ok && ok;
-    table.add_row({run.entry->name, util::format("%d", run.threads),
+    table.add_row({run.entry->name,
                    util::format("%llu", static_cast<unsigned long long>(m.steps)),
                    util::format("%.0f", static_cast<double>(m.steps) / wall),
                    util::format("%.0f", static_cast<double>(m.sim_events) / wall),
@@ -364,7 +330,6 @@ int main(int argc, char** argv) {
   std::string out_path;
   std::string perf_out = "BENCH_pr6.json";
   std::string perf_scenarios = kDefaultPerfScenarios;
-  std::string perf_threads = "1";
 
   util::Cli cli("ivc_bench",
                 "unified sweep runner: paper figures and zoo scenarios by name");
@@ -376,10 +341,6 @@ int main(int argc, char** argv) {
   cli.add_string("perf-out", &perf_out, "perf mode: JSON output path");
   cli.add_string("perf-scenarios", &perf_scenarios,
                  "perf mode: comma-separated scenario names (>= 3)");
-  cli.add_string("perf-threads", &perf_threads,
-                 "perf mode: engine worker counts to run each scenario at, "
-                 "e.g. 1,4 (every count must reproduce identical step/event "
-                 "totals — determinism is part of what the bench checks)");
   cli.add_string("volumes", &volumes_csv, "override volume grid, e.g. 25,50,100");
   cli.add_string("seeds", &seeds_csv, "override seed-count grid, e.g. 1,2,4");
   cli.add_string("out", &out_path, "append machine-readable CSV to this file");
@@ -390,7 +351,7 @@ int main(int argc, char** argv) {
     print_catalogue();
     return 0;
   }
-  if (perf) return run_perf_mode(opts, perf_scenarios, perf_threads, perf_out);
+  if (perf) return run_perf_mode(opts, perf_scenarios, perf_out);
   if (figure_name.empty() && scenario_name.empty() && !all_scenarios) {
     cli.print_usage(std::cerr);
     std::cerr << "\nivc_bench: nothing to do — pass --list, --figure, --scenario or "

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "experiment/registry.hpp"
@@ -111,14 +112,12 @@ int main(int argc, char** argv) {
   std::int64_t readers = 4;
   std::int64_t min_queries = 1000;
   std::int64_t snapshot_at = -1;
-  std::int64_t threads = -1;
 
   util::Cli cli("ivc_serve", "long-running counting service + trace record/replay");
   cli.add_string("scenario", &scenario, "registry scenario to serve");
   cli.add_flag("full", &full, "use evaluation scale instead of smoke scale");
   cli.add_int("readers", &readers, "concurrent query threads");
   cli.add_int("min-queries", &min_queries, "minimum queries per reader thread");
-  cli.add_int("threads", &threads, "engine worker count (-1: scenario default)");
   cli.add_string("record-trace", &record_trace_path,
                  "run the scenario and write a replayable input trace to this file");
   cli.add_string("replay-trace", &replay_trace_path,
@@ -129,6 +128,15 @@ int main(int argc, char** argv) {
               "roundtrip cut step (-1: derive from the scenario seed)");
   cli.add_flag("list", &list, "list the scenario registry and exit");
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
+  // Both size a loop or a container; a negative value would wrap.
+  for (const auto& [flag, value] : {std::pair{"readers", readers},
+                                    std::pair{"min-queries", min_queries}}) {
+    if (value < 0) {
+      std::fprintf(stderr, "error: --%s must be >= 0 (got %lld)\n", flag,
+                   static_cast<long long>(value));
+      return 1;
+    }
+  }
 
   if (list) {
     for (const auto& entry : experiment::ScenarioRegistry::builtin().entries()) {
@@ -159,8 +167,7 @@ int main(int argc, char** argv) {
         full ? experiment::ScenarioScale::Full : experiment::ScenarioScale::Smoke;
 
     if (!record_trace_path.empty()) {
-      const serve::TraceSource source =
-          serve::TraceSource::registry(scenario, scale, static_cast<int>(threads));
+      const serve::TraceSource source = serve::TraceSource::registry(scenario, scale);
       serve::write_trace_file(record_trace_path, serve::record_trace(source));
       std::printf("ok: recorded %s -> %s\n", source.describe().c_str(),
                   record_trace_path.c_str());
@@ -188,9 +195,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown scenario: %s\n", scenario.c_str());
       return 1;
     }
-    experiment::ScenarioConfig config = named->make(scale);
-    if (threads >= 0) config.sim.threads = static_cast<int>(threads);
-    return serve_under_load(config, static_cast<int>(readers), min_queries);
+    return serve_under_load(named->make(scale), static_cast<int>(readers), min_queries);
   } catch (const serve::SnapshotError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

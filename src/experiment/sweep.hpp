@@ -41,6 +41,9 @@ struct SweepCell {
   double wall_seconds = 0.0;
 };
 
+// Called on the pool's worker threads after each job, possibly
+// concurrently: `done` is that job's completion count (each of 1..total
+// exactly once), so a callback that shares state must synchronize it.
 using ProgressFn = std::function<void(std::size_t done, std::size_t total)>;
 
 [[nodiscard]] std::vector<SweepCell> run_sweep(const SweepConfig& config,

@@ -17,7 +17,7 @@
 //
 // Determinism contract: save() is legal only between steps (no buffered
 // events, no pending frees); restore-then-continue reproduces the
-// uninterrupted run's event stream bit for bit at any thread count.
+// uninterrupted run's event stream bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -120,6 +120,7 @@ class ByteReader {
     return static_cast<std::size_t>(n);
   }
 
+  [[nodiscard]] std::size_t remaining() const { return in_.size() - pos_; }
   [[nodiscard]] bool at_end() const { return pos_ == in_.size(); }
   void expect_end(const char* what) const {
     if (!at_end()) throw SnapshotError(std::string(what) + ": trailing bytes in section");

@@ -16,7 +16,12 @@ namespace {
 // "IVCT" little-endian, distinct from the snapshot magic so the two file
 // kinds cannot be confused.
 constexpr std::uint32_t kTraceMagic = 0x54435649u;
-constexpr std::uint32_t kTraceVersion = 1;
+// Version 2 dropped the engine thread override from the source block.
+constexpr std::uint32_t kTraceVersion = 2;
+// Encoded sizes: one StepRecord (five u64) and the final digest (two i64,
+// three booleans).
+constexpr std::uint64_t kRecordBytes = 40;
+constexpr std::uint64_t kDigestBytes = 19;
 
 struct StepRecord {
   std::uint64_t step = 0;
@@ -31,7 +36,6 @@ void write_source(ByteWriter& w, const TraceSource& source) {
   w.str(source.name);
   w.u8(static_cast<std::uint8_t>(source.scale));
   w.u64(source.case_seed);
-  w.i32(source.threads);
 }
 
 TraceSource read_source(ByteReader& r) {
@@ -44,7 +48,6 @@ TraceSource read_source(ByteReader& r) {
   if (scale > 1) throw SnapshotError("trace has an unknown scenario scale");
   source.scale = static_cast<experiment::ScenarioScale>(scale);
   source.case_seed = r.u64();
-  source.threads = r.i32();
   return source;
 }
 
@@ -63,7 +66,6 @@ experiment::ScenarioConfig resolve_config(const TraceSource& source) {
   } else {
     config = testing::make_fuzz_case(source.case_seed).config;
   }
-  if (source.threads >= 0) config.sim.threads = source.threads;
   return config;
 }
 
@@ -121,21 +123,18 @@ std::string diff_records(const StepRecord& recorded, const StepRecord& replayed)
 
 }  // namespace
 
-TraceSource TraceSource::registry(std::string scenario_name, experiment::ScenarioScale s,
-                                  int threads_override) {
+TraceSource TraceSource::registry(std::string scenario_name, experiment::ScenarioScale s) {
   TraceSource source;
   source.kind = Kind::Registry;
   source.name = std::move(scenario_name);
   source.scale = s;
-  source.threads = threads_override;
   return source;
 }
 
-TraceSource TraceSource::fuzz_case(std::uint64_t seed, int threads_override) {
+TraceSource TraceSource::fuzz_case(std::uint64_t seed) {
   TraceSource source;
   source.kind = Kind::FuzzCase;
   source.case_seed = seed;
-  source.threads = threads_override;
   return source;
 }
 
@@ -195,6 +194,15 @@ ReplayReport replay_trace(const std::vector<std::uint8_t>& bytes) {
   }
   const TraceSource source = read_source(r);
   const std::uint64_t record_count = r.u64();
+  // The records and the final digest are fixed-size, so the count must
+  // account for every byte left; checked here, before a world is built.
+  const std::uint64_t left = r.remaining();
+  if (left < kDigestBytes || (left - kDigestBytes) % kRecordBytes != 0 ||
+      (left - kDigestBytes) / kRecordBytes != record_count) {
+    throw SnapshotError(util::format(
+        "trace record count %llu does not match the %llu bytes that follow it",
+        static_cast<unsigned long long>(record_count), static_cast<unsigned long long>(left)));
+  }
 
   const experiment::ScenarioConfig config = resolve_config(source);
   testing::EventStreamHasher hasher;

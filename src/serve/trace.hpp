@@ -31,12 +31,10 @@ struct TraceSource {
   std::string name;  // registry scenario name
   experiment::ScenarioScale scale = experiment::ScenarioScale::Smoke;
   std::uint64_t case_seed = 0;  // fuzz case
-  int threads = -1;             // engine thread override; -1 keeps the config's own
 
   [[nodiscard]] static TraceSource registry(std::string scenario_name,
-                                            experiment::ScenarioScale s,
-                                            int threads_override = -1);
-  [[nodiscard]] static TraceSource fuzz_case(std::uint64_t seed, int threads_override = -1);
+                                            experiment::ScenarioScale s);
+  [[nodiscard]] static TraceSource fuzz_case(std::uint64_t seed);
   [[nodiscard]] std::string describe() const;
 };
 
@@ -55,7 +53,9 @@ struct ReplayReport {
 
 // Re-drive the traced scenario and assert every per-step record and the
 // final digest. Never throws on divergence — the report carries it;
-// throws SnapshotError only on a malformed/mismatched-version trace.
+// throws SnapshotError only on a malformed/mismatched-version trace. A
+// record count that disagrees with the trace's length is malformed, and
+// is rejected before any world is built.
 [[nodiscard]] ReplayReport replay_trace(const std::vector<std::uint8_t>& bytes);
 
 // File helpers (binary, whole-buffer). read_trace_file throws

@@ -12,8 +12,7 @@
 // SAME ScenarioConfig (construction then skips initial placement, seed
 // designation and patrol deployment — all of that state arrives from the
 // snapshot), call restore(), and continue stepping. The event stream from
-// that point on is bit-identical to the uninterrupted run at any thread
-// count.
+// that point on is bit-identical to the uninterrupted run.
 #pragma once
 
 #include <cstdint>

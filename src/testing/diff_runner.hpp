@@ -103,50 +103,30 @@ struct DiffResult {
 
 // Fast-vs-reference diff of an arbitrary scenario config. `fast_factory`
 // substitutes the engine under test (injected-bug engines in the harness's
-// self-tests); empty means the production SimEngine. `fast_threads`
-// forces the fast run's engine thread count (-1 keeps the config's own;
-// the reference kernel always runs serial), so one campaign can pin the
-// bank to threads=1 and another to hardware concurrency and both must
-// match the same serial reference bit for bit.
+// self-tests); empty means the production SimEngine.
 [[nodiscard]] DiffResult diff_config(const experiment::ScenarioConfig& config,
-                                     const EngineFactory& fast_factory = {},
-                                     int fast_threads = -1);
+                                     const EngineFactory& fast_factory = {});
 
 // Diff of a generated fuzz case (replayable from the seed alone).
 [[nodiscard]] DiffResult diff_case(std::uint64_t case_seed,
-                                   const EngineFactory& fast_factory = {},
-                                   int fast_threads = -1);
-
-// Parallel-vs-serial mode: the SAME fast engine run at `threads` and at 1,
-// digests compared field for field (the serial run fills the `reference`
-// slot). No reference kernel and no per-step invariant recounts — this is
-// the cheap machine check that thread count is a throughput knob, not a
-// seed: event-stream hash, checkpoint totals and oracle verdicts must be
-// byte-identical across thread counts.
-[[nodiscard]] DiffResult diff_config_threads(const experiment::ScenarioConfig& config,
-                                             int threads,
-                                             const EngineFactory& fast_factory = {});
-[[nodiscard]] DiffResult diff_case_threads(std::uint64_t case_seed, int threads,
-                                           const EngineFactory& fast_factory = {});
+                                   const EngineFactory& fast_factory = {});
 
 // Snapshot-roundtrip mode: the scenario is run to step `snapshot_at`,
 // saved, the snapshot is serialized to bytes, parsed back, restored into a
 // freshly built world, and the run continues to completion. The resulting
 // digest fills the `fast` slot; the `reference` slot is the uninterrupted
-// run at the SAME thread count. A restore that loses or perturbs any state
-// shows up as the usual first-field divergence (event hash, checkpoint
-// totals, oracle verdicts...). `snapshot_at <= 0` derives a pseudo-random
-// step in [1, max steps] from the config seed, so the seed bank probes a
-// different cut point per case. `fast_factory` substitutes the engine
-// under test on BOTH sides; `threads` forces both runs' thread count.
+// run. A restore that loses or perturbs any state shows up as the usual
+// first-field divergence (event hash, checkpoint totals, oracle
+// verdicts...). `snapshot_at <= 0` derives a pseudo-random step in
+// [1, max steps] from the config seed, so the seed bank probes a different
+// cut point per case. `fast_factory` substitutes the engine under test on
+// BOTH sides.
 [[nodiscard]] DiffResult diff_config_snapshot(const experiment::ScenarioConfig& config,
                                               std::int64_t snapshot_at = -1,
-                                              const EngineFactory& fast_factory = {},
-                                              int threads = -1);
+                                              const EngineFactory& fast_factory = {});
 [[nodiscard]] DiffResult diff_case_snapshot(std::uint64_t case_seed,
                                             std::int64_t snapshot_at = -1,
-                                            const EngineFactory& fast_factory = {},
-                                            int threads = -1);
+                                            const EngineFactory& fast_factory = {});
 // Same, for a builtin registry scenario at Smoke scale (nullopt when the
 // name is unknown).
 [[nodiscard]] std::optional<DiffResult> diff_named_scenario_snapshot(
@@ -155,9 +135,6 @@ struct DiffResult {
 // Registry hook: diff-check a named scenario from the builtin catalogue at
 // Smoke scale. Returns nullopt when the name is unknown.
 [[nodiscard]] std::optional<DiffResult> diff_named_scenario(std::string_view name);
-// Same, in parallel-vs-serial mode at `threads`.
-[[nodiscard]] std::optional<DiffResult> diff_named_scenario_threads(std::string_view name,
-                                                                    int threads);
 
 struct ShrinkResult {
   std::uint64_t minimal_seed = 0;  // replay with ivc_fuzz --replay
@@ -169,10 +146,7 @@ struct ShrinkResult {
 // Greedy minimization of a diverging case: repeatedly halve run length,
 // then demand, then topology scale, keeping each reduction that still
 // diverges. Returns nullopt when `failing_seed` does not actually diverge.
-// `fast_threads` must match the campaign that found the divergence, or a
-// thread-count-sensitive bug could vanish while shrinking.
 [[nodiscard]] std::optional<ShrinkResult> shrink_case(std::uint64_t failing_seed,
-                                                      const EngineFactory& fast_factory = {},
-                                                      int fast_threads = -1);
+                                                      const EngineFactory& fast_factory = {});
 
 }  // namespace ivc::testing

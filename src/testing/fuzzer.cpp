@@ -185,27 +185,17 @@ FuzzCase make_fuzz_case(std::uint64_t case_seed) {
   for (int i = 0; i < fc.shrink.length_halvings; ++i) c.time_limit_minutes /= 2.0;
   c.time_limit_minutes = std::max(2.0, c.time_limit_minutes);
 
-  // Engine thread count: serial, two workers, or hardware concurrency
-  // (0). The nightly campaign thereby sweeps scheduling diversity for
-  // free; the engine's contract is that this knob cannot change a single
-  // digest bit, and every case checks it against the serial reference.
-  switch (rng.uniform_index(3)) {
-    case 0: c.sim.threads = 1; break;
-    case 1: c.sim.threads = 2; break;
-    default: c.sim.threads = 0; break;
-  }
-
   c.seed = util::derive_seed(base, "fuzz-replica");
 
   fc.summary = util::format(
       "case=0x%llx topo=%s mode=%s vol=%.0f%% n100=%zu arr=%.2f seeds=%d patrol=%zu "
-      "loss=%.0f%% coll=%d lc=%d ma=%d thr=%d limit=%.1fmin shrink=%s",
+      "loss=%.0f%% coll=%d lc=%d ma=%d limit=%.1fmin shrink=%s",
       static_cast<unsigned long long>(case_seed), topo.c_str(),
       c.mode == experiment::SystemMode::Open ? "open" : "closed", c.volume_pct,
       c.vehicles_at_100pct, c.arrival_rate_at_100pct, c.num_seeds, c.num_patrol,
       c.protocol.channel_loss * 100.0, c.protocol.collection ? 1 : 0,
-      c.sim.allow_lane_change ? 1 : 0, c.sim.multi_admission ? 1 : 0, c.sim.threads,
-      c.time_limit_minutes, fc.shrink.describe().c_str());
+      c.sim.allow_lane_change ? 1 : 0, c.sim.multi_admission ? 1 : 0, c.time_limit_minutes,
+      fc.shrink.describe().c_str());
   return fc;
 }
 

@@ -12,20 +12,6 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }
 
-namespace {
-// The reference is the obviously-correct serial baseline: whatever thread
-// count the case under test runs at, the kernel's full scans execute on
-// one thread. (The overridden phases below never take the sharded paths
-// anyway; this also keeps the base-class detect_overtakes serial.)
-traffic::SimConfig force_serial(traffic::SimConfig config) {
-  config.threads = 1;
-  return config;
-}
-}  // namespace
-
-ReferenceKernel::ReferenceKernel(const roadnet::RoadNetwork& net, traffic::SimConfig config)
-    : SimEngine(net, force_serial(config)) {}
-
 void ReferenceKernel::record_violation(std::string what) {
   ++violation_count_;
   if (violations_.size() < kMaxViolations) violations_.push_back(std::move(what));

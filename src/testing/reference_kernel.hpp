@@ -35,7 +35,7 @@ namespace ivc::testing {
 
 class ReferenceKernel final : public traffic::SimEngine {
  public:
-  ReferenceKernel(const roadnet::RoadNetwork& net, traffic::SimConfig config);
+  using SimEngine::SimEngine;
 
   // Invariant violations observed so far (bounded; see kMaxViolations).
   [[nodiscard]] const std::vector<std::string>& violations() const { return violations_; }

@@ -91,23 +91,7 @@ class EventBuffer {
     events_.emplace_back(std::forward<Event>(event));
   }
 
-  [[nodiscard]] std::size_t size() const { return events_.size(); }
   [[nodiscard]] bool empty() const { return events_.empty(); }
-  [[nodiscard]] const std::vector<SimEvent>& events() const { return events_; }
-
-  // Append all of `src`'s events (preserving their order) and clear it.
-  // The parallel engine merges per-shard buffers into the step buffer in
-  // canonical shard order with this: because shards cover contiguous
-  // ranges of the sorted worklist, concatenation in shard order IS the
-  // serial generation order.
-  void splice(EventBuffer& src) {
-    events_.insert(events_.end(), src.events_.begin(), src.events_.end());
-    src.events_.clear();
-  }
-
-  // Drop buffered events without delivering them (shard-context hygiene
-  // after an aborted phase).
-  void clear() { events_.clear(); }
 
   void flush(const std::vector<SimObserver*>& observers) {
     // Index loop: stays valid even if a (misbehaving) observer appends.

@@ -31,9 +31,8 @@ class Router {
   Router(const roadnet::RoadNetwork& net, std::uint64_t seed);
 
   // Edges that demand refuses to route over (they remain drivable; the
-  // patrol fleet still uses them). Setup-time only: plan() may run
-  // concurrently from the engine's dynamics shards, so the exclusion set
-  // must be frozen before the first step.
+  // patrol fleet still uses them). Setup-time only: the exclusion set must
+  // be frozen before the first step.
   void exclude_edge(roadnet::EdgeId e);
 
   // Shortest jittered path from `from` to `to` over non-excluded interior

@@ -20,15 +20,13 @@ constexpr double kStopMargin = 0.5;
 constexpr std::size_t kDynamicsGroup = 4;
 }  // namespace
 
-thread_local SimEngine::ShardContext* SimEngine::tls_shard_ = nullptr;
-
 SimEngine::SimEngine(const roadnet::RoadNetwork& net, SimConfig config)
     : net_(net),
       config_(config),
       rng_(util::derive_seed(config.seed, "sim-engine")),
       vehicle_stream_seed_(util::derive_seed(config.seed, "vehicle-streams")) {
   IVC_ASSERT(config_.dt > 0.0);
-  IVC_ASSERT(config_.threads >= 0);
+  IVC_ASSERT_MSG(config_.threads == 1, "the engine steps serially: SimConfig::threads must be 1");
   lane_offset_.resize(net_.num_segments());
   std::size_t total_lanes = 0;
   for (const auto& seg : net_.segments()) {
@@ -40,14 +38,6 @@ SimEngine::SimEngine(const roadnet::RoadNetwork& net, SimConfig config)
   edge_count_.assign(net_.num_segments(), 0);
   entry_space_.assign(total_lanes, 0.0);
   node_candidates_.resize(net_.num_intersections());
-
-  std::size_t team = config_.threads == 0
-                         ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-                         : static_cast<std::size_t>(config_.threads);
-  if (team > 1) {
-    pool_ = std::make_unique<util::ForkJoinPool>(team);
-    shards_.resize(pool_->size());
-  }
 }
 
 void SimEngine::add_observer(SimObserver* observer) {
@@ -97,13 +87,6 @@ double SimEngine::mean_speed() const {
 }
 
 void SimEngine::mark_lane_occupied(std::size_t index) {
-  // Sharded lane changes log the transition instead of touching the global
-  // worklist; the step driver applies the logs serially in shard order —
-  // the same order the inline updates would have happened in.
-  if (ShardContext* shard = tls_shard_) {
-    shard->occupancy_log.emplace_back(static_cast<std::uint32_t>(index), true);
-    return;
-  }
   const auto value = static_cast<std::uint32_t>(index);
   const auto it = std::lower_bound(occupied_lanes_.begin(), occupied_lanes_.end(), value);
   occupied_lanes_.insert(it, value);
@@ -111,10 +94,6 @@ void SimEngine::mark_lane_occupied(std::size_t index) {
 }
 
 void SimEngine::mark_lane_empty(std::size_t index) {
-  if (ShardContext* shard = tls_shard_) {
-    shard->occupancy_log.emplace_back(static_cast<std::uint32_t>(index), false);
-    return;
-  }
   const auto value = static_cast<std::uint32_t>(index);
   const auto it = std::lower_bound(occupied_lanes_.begin(), occupied_lanes_.end(), value);
   IVC_ASSERT(it != occupied_lanes_.end() && *it == value);
@@ -216,9 +195,8 @@ VehicleId SimEngine::spawn_at(roadnet::EdgeId edge, int lane, double position,
   cold.alive = true;
   cold.route = std::move(route);
   cold.entry_seq = ++entry_seq_counter_;
-  // Counter-based stream: the generational id is assigned by the serial
-  // spawn/admission machinery, so the key — and with it every draw the
-  // vehicle will ever make — is identical across thread counts.
+  // Counter-based stream keyed by the generational id: every draw the
+  // vehicle will ever make depends only on its own history.
   cold.rng_key = util::derive_seed(vehicle_stream_seed_, id.value());
   cold.rng_draws = 0;
   store_.is_patrol[slot] = is_patrol ? 1 : 0;
@@ -293,8 +271,8 @@ roadnet::EdgeId SimEngine::ensure_next_edge(std::uint32_t slot, roadnet::NodeId 
       // Fallback: roam onto a uniformly random out-edge so traffic never
       // stalls even without a planner (unit-test configurations). Drawn
       // from the vehicle's own counter-based stream — this runs inside the
-      // (possibly sharded) dynamics phase, where a shared sequential
-      // generator would make the pick depend on which lane drew first.
+      // dynamics phase, where a shared sequential generator would make the
+      // pick depend on which lane drew first.
       const auto& out = net_.intersection(node).out_edges;
       IVC_ASSERT_MSG(!out.empty(), "dead-end node reached");
       util::StreamRng stream(cold.rng_key, cold.rng_draws);
@@ -309,91 +287,13 @@ roadnet::EdgeId SimEngine::ensure_next_edge(std::uint32_t slot, roadnet::NodeId 
   return next;
 }
 
-std::size_t SimEngine::shard_count(std::size_t items) const {
-  if (pool_ == nullptr) return 1;
-  // Grain keeps tiny worklists serial: below ~one cache line of lane
-  // indices per worker the fork-join overhead outweighs the phase.
-  constexpr std::size_t kGrain = 16;
-  const std::size_t by_grain = items / kGrain;
-  if (by_grain <= 1) return 1;
-  return std::min(by_grain, pool_->size());
-}
-
-void SimEngine::run_sharded(util::PerfPhase phase,
-                            const std::function<void(ShardContext&)>& body) {
-  const std::size_t active = shard_ranges_.size();
-  const bool timed = perf_ != nullptr;
-  pool_->run([&](std::size_t worker) {
-    if (worker >= active) return;
-    ShardContext& ctx = shards_[worker];
-    ctx.reset();
-    ctx.range = shard_ranges_[worker];
-    // Scope guard, not a trailing assignment: if the body throws (a
-    // route-planner callback can), the worker — possibly the caller
-    // thread itself — must not keep routing serial-path events into a
-    // shard buffer after the fork-join rethrows.
-    struct TlsGuard {
-      ~TlsGuard() { tls_shard_ = nullptr; }
-    } guard;
-    tls_shard_ = &ctx;
-    if (timed) {
-      const util::ThreadCpuProbe cpu_probe;
-      const std::uint64_t start = util::steady_now_nanos();
-      body(ctx);
-      ctx.busy_nanos = util::steady_now_nanos() - start;
-      ctx.busy_cpu_nanos = cpu_probe.elapsed_nanos();
-    } else {
-      body(ctx);
-    }
-  });
-  if (timed) {
-    std::uint64_t busy = 0;
-    std::uint64_t busy_cpu = 0;
-    // Worker 0 is the calling thread: its busy CPU time is already inside
-    // the phase-level PerfTimer's thread-CPU measurement, so only the
-    // parked workers' time is added here — the collector's cpu total then
-    // counts every nanosecond exactly once.
-    for (std::size_t s = 0; s < active; ++s) busy += shards_[s].busy_nanos;
-    for (std::size_t s = 1; s < active; ++s) busy_cpu += shards_[s].busy_cpu_nanos;
-    perf_->add_parallel(phase, busy, busy_cpu);
-  }
-}
-
 void SimEngine::apply_lane_changes() {
   if (!config_.allow_lane_change) return;
   // Snapshot the worklist: a move into a previously-empty lane must not
   // grow the iteration space mid-phase (the mover is cooldown-gated, so
   // skipping its new lane is equivalent to the full scan visiting it).
   scratch_lanes_.assign(occupied_lanes_.begin(), occupied_lanes_.end());
-  const std::size_t nshards = shard_count(scratch_lanes_.size());
-  if (nshards <= 1) {
-    for (const std::uint32_t index : scratch_lanes_) lane_change_pass(index);
-    return;
-  }
-  // Segment-aligned shards: a lane change never leaves its segment, so no
-  // two shards touch the same lane list or edge counter and the live-state
-  // algorithm runs unchanged. The one global structure — the occupancy
-  // worklist — is not read by this phase (it walks the snapshot), so its
-  // transitions are logged per shard and applied below in shard order,
-  // which is exactly the order the serial walk would have applied them.
-  shard_worklist(
-      scratch_lanes_, nshards,
-      [this](std::uint32_t lane) { return lane_refs_[lane].edge.value(); },
-      &shard_ranges_);
-  run_sharded(util::PerfPhase::LaneChange, [this](ShardContext& ctx) {
-    for (std::size_t i = ctx.range.begin; i < ctx.range.end; ++i) {
-      lane_change_pass(scratch_lanes_[i]);
-    }
-  });
-  for (std::size_t s = 0; s < shard_ranges_.size(); ++s) {
-    for (const auto& [lane, occupied] : shards_[s].occupancy_log) {
-      if (occupied) {
-        mark_lane_occupied(lane);
-      } else {
-        mark_lane_empty(lane);
-      }
-    }
-  }
+  for (const std::uint32_t index : scratch_lanes_) lane_change_pass(index);
 }
 
 void SimEngine::lane_change_pass(std::uint32_t index) {
@@ -505,25 +405,9 @@ int SimEngine::snapshot_entry_lane(roadnet::EdgeId edge, double len) const {
 
 void SimEngine::update_dynamics() {
   prepare_entry_space();
-  const std::size_t nshards = shard_count(occupied_lanes_.size());
-  if (nshards > 1) {
-    // Dynamics never changes lane membership and every cross-lane read
-    // goes through the entry-space snapshot, so shards share no mutable
-    // state whatever the boundaries; the aligned partitioner is reused for
-    // a single code path.
-    shard_worklist(
-        occupied_lanes_, nshards,
-        [this](std::uint32_t lane) { return lane_refs_[lane].edge.value(); },
-        &shard_ranges_);
-    run_sharded(util::PerfPhase::Dynamics, [this](ShardContext& ctx) {
-      for (std::size_t i = ctx.range.begin; i < ctx.range.end; ++i) {
-        dynamics_pass(occupied_lanes_[i]);
-      }
-    });
-    return;
-  }
-  // Serial: the live worklist is safe to iterate directly, in groups of
-  // kDynamicsGroup lanes integrated round-robin, then a one-lane tail.
+  // The live worklist is safe to iterate directly (dynamics never changes
+  // lane membership), in groups of kDynamicsGroup lanes integrated
+  // round-robin, then a one-lane tail.
   const std::uint32_t* const work = occupied_lanes_.data();
   const std::size_t n = occupied_lanes_.size();
   std::size_t w = 0;
@@ -598,9 +482,9 @@ void SimEngine::dynamics_lanes(const std::uint32_t* lanes) {
           // obstacle. An empty next edge always has room (the entry pick
           // would return lane 0), so the lane scan is only needed when it
           // is occupied. Room is read from the pre-dynamics entry-space
-          // snapshot: the next edge's lanes may be integrated in another
-          // shard, in this lane group or later in the serial scan, and
-          // this decision must not depend on which.
+          // snapshot: the next edge's lanes may be integrated earlier, in
+          // this lane group or later, and this decision must not depend on
+          // which.
           const roadnet::EdgeId next = ensure_next_edge(slot, seg.to);
           if (edge_count_[next.value()] != 0 && snapshot_entry_lane(next, len[slot]) < 0) {
             gap = (seg.length - kStopMargin) - x;
@@ -672,24 +556,7 @@ void SimEngine::detect_overtakes() {
   // watched_ is sorted by id, so the event order here is identical on every
   // platform — part of the bit-exact contract (an unordered_set would order
   // these by hash-table layout).
-  const std::size_t nshards = shard_count(watched_.size());
-  if (nshards <= 1) {
-    for (const VehicleId wid : watched_) overtake_scan(wid);
-    return;
-  }
-  // Read-only over vehicle state; each shard's overtake events go to its
-  // own buffer and are spliced back in shard order — contiguous chunks of
-  // a sorted list, so the merged stream is the serial watched-id order.
-  shard_even(watched_.size(), nshards, &shard_ranges_);
-  run_sharded(util::PerfPhase::Overtakes, [this](ShardContext& ctx) {
-    for (std::size_t i = ctx.range.begin; i < ctx.range.end; ++i) {
-      overtake_scan(watched_[i]);
-    }
-  });
-  for (std::size_t s = 0; s < shard_ranges_.size(); ++s) {
-    events_emitted_ += shards_[s].events_emitted;
-    events_.splice(shards_[s].events);
-  }
+  for (const VehicleId wid : watched_) overtake_scan(wid);
 }
 
 void SimEngine::process_transits() {
@@ -697,48 +564,13 @@ void SimEngine::process_transits() {
   // Ascending lane-index order keeps despawn events in the segment-major
   // order the full scan emitted.
   scratch_lanes_.assign(occupied_lanes_.begin(), occupied_lanes_.end());
-  const std::size_t nshards = shard_count(scratch_lanes_.size());
-  if (nshards <= 1) {
-    for (const std::uint32_t index : scratch_lanes_) collect_transit_candidates(index);
-  } else {
-    // The O(occupied lanes) part of the phase is the front-past-the-end
-    // scan; shard that read-only filter, then replay only the hits through
-    // the ordinary serial body — despawn events and candidate registration
-    // land in shard (== lane) order, exactly as the serial scan emits
-    // them. A despawn removes only its own lane's front vehicle, so a hit
-    // identified by the scan is still a hit when replayed.
-    shard_worklist(
-        scratch_lanes_, nshards,
-        [this](std::uint32_t lane) { return lane_refs_[lane].edge.value(); },
-        &shard_ranges_);
-    run_sharded(util::PerfPhase::Transits, [this](ShardContext& ctx) {
-      for (std::size_t i = ctx.range.begin; i < ctx.range.end; ++i) {
-        transit_scan_pass(scratch_lanes_[i], ctx);
-      }
-    });
-    for (std::size_t s = 0; s < shard_ranges_.size(); ++s) {
-      for (const std::uint32_t index : shards_[s].transit_hits) {
-        collect_transit_candidates(index);
-      }
-    }
-  }
+  for (const std::uint32_t index : scratch_lanes_) collect_transit_candidates(index);
 
   // Only intersections that actually received a candidate, in node-id
   // order (matching the old every-intersection sweep, minus the no-ops).
-  // Admission is serial by design: it is O(active nodes), mutates lane
-  // membership across arbitrary segments, and assigns entry_seq numbers.
   std::sort(active_nodes_.begin(), active_nodes_.end());
   for (const roadnet::NodeId node_id : active_nodes_) admit_at_node(node_id);
   active_nodes_.clear();
-}
-
-void SimEngine::transit_scan_pass(std::uint32_t index, ShardContext& ctx) {
-  const auto& lane_list = lanes_[index];
-  if (lane_list.empty()) return;
-  if (store_.position[lane_list.back().slot()] >=
-      net_.segment(lane_refs_[index].edge).length) {
-    ctx.transit_hits.push_back(index);
-  }
 }
 
 void SimEngine::collect_transit_candidates(std::uint32_t index) {
@@ -821,9 +653,6 @@ void SimEngine::admit_at_node(roadnet::NodeId node_id) {
 void SimEngine::despawn(std::uint32_t slot, roadnet::EdgeId edge) {
   VehicleCold& cold = store_.cold[slot];
   IVC_ASSERT(cold.alive);
-  // Despawns mutate the alive index, watched list and free list — global
-  // structures the shards never touch; this must only run serially.
-  IVC_ASSERT(tls_shard_ == nullptr);
   remove_from_lane(cold.id);
   cold.alive = false;
   if (store_.is_patrol[slot] == 0 && !net_.segment(store_.edge[slot]).is_gateway()) {

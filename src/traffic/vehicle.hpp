@@ -70,9 +70,9 @@ struct VehicleCold {
   // Counter-based RNG stream (util::counter_mix): every draw made on this
   // vehicle's behalf — roam fallback, route replanning and its jitter —
   // comes from (rng_key, rng_draws++), so the values depend only on the
-  // vehicle's own history, never on which other vehicle (or thread) drew
-  // first. Assigned at spawn from the engine's vehicle-stream seed and the
-  // generational id, both of which are identical across thread counts.
+  // vehicle's own history, never on which other vehicle drew first.
+  // Assigned at spawn from the engine's vehicle-stream seed and the
+  // generational id.
   std::uint64_t rng_key = 0;
   std::uint64_t rng_draws = 0;
 };

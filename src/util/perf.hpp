@@ -34,45 +34,25 @@ enum class PerfPhase : std::uint8_t {
 
 struct PerfPhaseStats {
   std::uint64_t calls = 0;
-  // Wall-clock time of the phase as the step loop sees it (the PerfTimer
-  // wraps the whole phase, parallel or not).
+  // Wall-clock time of the phase as the step loop sees it.
   std::uint64_t nanos = 0;
   // Thread-CPU time of the calling thread over the sampled scopes
   // (CLOCK_THREAD_CPUTIME_ID; 0 where the platform has no probe). The CPU
   // clock is a real syscall (~200ns vs ~25ns for the vDSO steady clock),
   // so PerfTimer reads it only on every kCpuSampleStride-th call of a
   // phase; `cpu_sample_calls` counts how many calls were measured and
-  // cpu_seconds() extrapolates. For a serial phase the estimate tracks
-  // the phase's real CPU cost — wall time minus whatever preemption the
-  // host inflicted.
+  // cpu_seconds() extrapolates. The estimate tracks the phase's real CPU
+  // cost — wall time minus whatever preemption the host inflicted.
   std::uint64_t cpu_nanos = 0;
   std::uint64_t cpu_sample_calls = 0;
-  // Cumulative busy time across the worker team when the phase ran
-  // sharded (sum of per-worker task durations; 0 for phases that only
-  // ever ran serially). With threads > 1 this can exceed `nanos` — wall
-  // and CPU are reported separately precisely because parallel phases no
-  // longer sum to the run's wall time.
-  std::uint64_t parallel_nanos = 0;
-  // Thread-CPU time of the PARKED workers' shard tasks (worker 0 is the
-  // calling thread, so its CPU is already in cpu_nanos — summing it here
-  // too would double count).
-  std::uint64_t parallel_cpu_nanos = 0;
 
   [[nodiscard]] double seconds() const { return static_cast<double>(nanos) * 1e-9; }
-  // Total CPU cost of the phase across every thread that worked on it.
-  // The caller-side term extrapolates from the sampled calls (exact when
-  // every call was sampled, e.g. a single measurement); the parked-worker
-  // term is always measured in full.
+  // CPU cost of the phase, extrapolated from the sampled calls (exact when
+  // every call was sampled, e.g. a single measurement).
   [[nodiscard]] double cpu_seconds() const {
-    double caller = 0.0;
-    if (cpu_sample_calls > 0) {
-      caller = static_cast<double>(cpu_nanos) * static_cast<double>(calls) /
-               static_cast<double>(cpu_sample_calls);
-    }
-    return (caller + static_cast<double>(parallel_cpu_nanos)) * 1e-9;
-  }
-  [[nodiscard]] double parallel_seconds() const {
-    return static_cast<double>(parallel_nanos) * 1e-9;
+    if (cpu_sample_calls == 0) return 0.0;
+    return static_cast<double>(cpu_nanos) * static_cast<double>(calls) /
+           static_cast<double>(cpu_sample_calls) * 1e-9;
   }
 };
 
@@ -103,17 +83,6 @@ class PerfCollector {
   // measurements stay exact.
   [[nodiscard]] bool should_sample_cpu(PerfPhase phase) const {
     return phases_[static_cast<std::size_t>(phase)].calls % kCpuSampleStride == 0;
-  }
-
-  // Worker busy time for one sharded execution of `phase`: cumulative wall
-  // time of all shard tasks, and thread-CPU time of the parked workers
-  // only (the caller runs as worker 0 and its CPU lands in `add`). The
-  // engine sums its shards' durations after the join and reports them in a
-  // single call, so the collector itself stays single-threaded.
-  void add_parallel(PerfPhase phase, std::uint64_t nanos, std::uint64_t cpu_nanos) {
-    PerfPhaseStats& stats = phases_[static_cast<std::size_t>(phase)];
-    stats.parallel_nanos += nanos;
-    stats.parallel_cpu_nanos += cpu_nanos;
   }
 
   [[nodiscard]] const PerfPhaseStats& phase(PerfPhase phase) const {
@@ -153,7 +122,7 @@ class ThreadCpuProbe {
 // RAII phase timer. Reads the clocks only when a collector is attached.
 // Records the wall time of every scope and — on the collector's sampling
 // stride — the calling thread's CPU time over it (the two diverge when
-// the phase parks on a fork-join or the host preempts the thread).
+// the host preempts the thread).
 class PerfTimer {
  public:
   PerfTimer(PerfCollector* collector, PerfPhase phase)

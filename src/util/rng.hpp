@@ -35,9 +35,9 @@ namespace ivc::util {
 // SplitMix64 evaluated at state key + (counter+1)*gamma — a pure function
 // of (key, counter), so draw #i of a stream has the same value no matter
 // which other streams drew before it, on which thread, in which order.
-// That property is what makes the engine's parallel step phases
-// schedule-independent: per-entity streams replace the shared sequential
-// generator on every draw site a worker thread can reach.
+// That property is what makes the engine's per-lane phases independent of
+// the order lanes are stepped in: per-entity streams replace the shared
+// sequential generator on every draw site a lane's update can reach.
 [[nodiscard]] constexpr std::uint64_t counter_mix(std::uint64_t key, std::uint64_t counter) {
   std::uint64_t z = key + (counter + 1) * 0x9e3779b97f4a7c15ULL;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;

@@ -1,5 +1,9 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <memory>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -97,91 +101,6 @@ void ThreadPool::worker_loop() {
       std::lock_guard<std::mutex> lock(mutex_);
       --in_flight_;
       if (in_flight_ == 0) cv_idle_.notify_all();
-    }
-  }
-}
-
-// ---- ForkJoinPool -----------------------------------------------------------
-
-namespace {
-// Spin budget before parking on the atomic. Short on purpose: on an
-// oversubscribed machine (or a 1-core container) spinning steals cycles
-// from the very workers being waited on.
-constexpr int kSpinIterations = 256;
-}  // namespace
-
-ForkJoinPool::ForkJoinPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
-  workers_.reserve(num_threads - 1);
-  for (std::size_t i = 0; i + 1 < num_threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i + 1); });
-  }
-}
-
-ForkJoinPool::~ForkJoinPool() {
-  stop_.store(true, std::memory_order_release);
-  epoch_.fetch_add(1, std::memory_order_release);
-  epoch_.notify_all();
-  for (auto& worker : workers_) worker.join();
-}
-
-void ForkJoinPool::record_exception() {
-  std::lock_guard<std::mutex> lock(exception_mutex_);
-  if (!first_exception_) first_exception_ = std::current_exception();
-}
-
-void ForkJoinPool::run(const std::function<void(std::size_t)>& task) {
-  IVC_ASSERT(task != nullptr);
-  if (workers_.empty()) {
-    task(0);
-    return;
-  }
-  task_ = &task;
-  remaining_.store(workers_.size(), std::memory_order_relaxed);
-  epoch_.fetch_add(1, std::memory_order_release);
-  epoch_.notify_all();
-  try {
-    task(0);
-  } catch (...) {
-    record_exception();
-  }
-  // Join: spin briefly (the common case — shards finish together), then
-  // park until the last worker's decrement-and-notify.
-  int spins = 0;
-  for (;;) {
-    const std::size_t left = remaining_.load(std::memory_order_acquire);
-    if (left == 0) break;
-    if (++spins < kSpinIterations) continue;
-    remaining_.wait(left, std::memory_order_acquire);
-  }
-  task_ = nullptr;
-  if (first_exception_) {
-    std::exception_ptr e = std::exchange(first_exception_, nullptr);
-    std::rethrow_exception(e);
-  }
-}
-
-void ForkJoinPool::worker_loop(std::size_t worker_index) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    int spins = 0;
-    std::uint64_t epoch = epoch_.load(std::memory_order_acquire);
-    while (epoch == seen) {
-      if (++spins >= kSpinIterations) epoch_.wait(seen, std::memory_order_acquire);
-      epoch = epoch_.load(std::memory_order_acquire);
-    }
-    seen = epoch;
-    if (stop_.load(std::memory_order_acquire)) return;
-    try {
-      (*task_)(worker_index);
-    } catch (...) {
-      record_exception();
-    }
-    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      remaining_.notify_all();
     }
   }
 }

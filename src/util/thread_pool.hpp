@@ -1,26 +1,15 @@
-// Fixed-size thread pool with a parallel_for helper, plus a low-latency
-// fork-join team for the engine's per-step parallelism.
+// Fixed-size thread pool with a parallel_for helper.
 //
 // The benchmark harnesses sweep a (traffic volume x seed count x replica)
 // grid; each grid point is an independent deterministic simulation, so the
 // sweep is embarrassingly parallel. Tasks pull indices from a shared atomic
 // counter (dynamic scheduling) because run times vary strongly with traffic
 // volume.
-//
-// ThreadPool's mutex + condvar queue costs tens of microseconds per batch —
-// fine for sweep replicas that run for seconds each, fatal for engine step
-// phases that last single-digit microseconds. ForkJoinPool keeps resident
-// workers parked on an epoch counter (brief spin, then C++20 atomic wait)
-// and runs the caller as worker 0, so a fork-join is two atomic bumps plus
-// however long the stragglers take.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -62,43 +51,6 @@ class ThreadPool {
   std::condition_variable cv_idle_;
   std::size_t in_flight_ = 0;
   bool stop_ = false;
-};
-
-// Persistent fork-join team: `size()` logical workers, of which one is the
-// calling thread itself — a team of N parks only N-1 OS threads. Workers
-// spin briefly on the fork epoch, then block on a C++20 atomic wait, so an
-// idle team costs nothing and a hot fork-join (the engine issues several
-// per simulation step) costs a few hundred nanoseconds of wake/join
-// overhead instead of a condvar round trip per task.
-class ForkJoinPool {
- public:
-  // `num_threads` is the total worker count including the caller;
-  // 0 = hardware_concurrency. A team of 1 runs everything inline.
-  explicit ForkJoinPool(std::size_t num_threads = 0);
-  ~ForkJoinPool();
-
-  ForkJoinPool(const ForkJoinPool&) = delete;
-  ForkJoinPool& operator=(const ForkJoinPool&) = delete;
-
-  [[nodiscard]] std::size_t size() const { return workers_.size() + 1; }
-
-  // Run task(worker) for worker in [0, size()) — the caller executes
-  // worker 0 — and block until every worker returns. The first exception
-  // thrown by any worker (caller included) is rethrown here after the
-  // join, so a failed fork-join never leaves workers running.
-  void run(const std::function<void(std::size_t)>& task);
-
- private:
-  void worker_loop(std::size_t worker_index);
-  void record_exception();
-
-  std::vector<std::thread> workers_;
-  const std::function<void(std::size_t)>* task_ = nullptr;
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::size_t> remaining_{0};
-  std::atomic<bool> stop_{false};
-  std::mutex exception_mutex_;
-  std::exception_ptr first_exception_;
 };
 
 }  // namespace ivc::util

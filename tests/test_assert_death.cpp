@@ -1,5 +1,6 @@
-// Assert-path death tests: IVC_ASSERT stays enabled in release builds and
-// the GenId generation check actually fires on stale handles. The happy
+// Assert-path death tests: IVC_ASSERT stays enabled in release builds, the
+// GenId generation check actually fires on stale handles, and the engine
+// refuses a thread count other than 1. The happy
 // path of slot recycling is covered in test_traffic_lifecycle.cpp; these
 // verify the *unhappy* path — a stale id must abort loudly, not alias the
 // slot's new occupant.
@@ -78,6 +79,24 @@ TEST(AssertDeath, StaleVehicleIdAbortsOnCheckedLookup) {
   EXPECT_FALSE(world.engine->find_vehicle(world.stale).has_value());
   ASSERT_TRUE(world.engine->find_vehicle(world.current).has_value());
   EXPECT_EQ(world.engine->find_vehicle(world.current)->id(), world.current);
+}
+
+// The engine steps serially; a config asking for worker threads is a
+// caller error, not a hint to ignore.
+TEST(AssertDeath, EngineRejectsThreadsOtherThanOne) {
+  roadnet::NetworkBuilder b;
+  const NodeId a = b.add_intersection({0, 0});
+  const NodeId c = b.add_intersection({120, 0});
+  b.add_two_way(a, c, roadnet::RoadSpec{});
+  const roadnet::RoadNetwork net = b.build();
+  for (const int threads : {0, 4}) {
+    traffic::SimConfig config;
+    config.threads = threads;
+    EXPECT_DEATH({ traffic::SimEngine engine(net, config); }, "SimConfig::threads must be 1");
+  }
+  traffic::SimConfig serial;
+  traffic::SimEngine engine(net, serial);
+  EXPECT_EQ(engine.step_count(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Experiment harness: scenario runner, parallel sweeps, figure formatting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <mutex>
 #include <sstream>
 
 #include "experiment/figure.hpp"
@@ -157,8 +159,11 @@ TEST(Sweep, ProgressCallbackCoversAllJobs) {
   sweep.seed_counts = {1};
   sweep.replicas = 3;
   sweep.base = tiny_config();
+  // Progress arrives on pool threads, possibly concurrently.
+  std::mutex mutex;
   std::size_t last_done = 0, total = 0;
   const auto cells = run_sweep(sweep, [&](std::size_t done, std::size_t all) {
+    const std::lock_guard<std::mutex> lock(mutex);
     last_done = std::max(last_done, done);
     total = all;
   });

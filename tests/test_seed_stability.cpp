@@ -47,14 +47,6 @@ TEST(SeedStability, PinnedScenariosProducePinnedEventStreams) {
     ASSERT_NE(scenario, nullptr) << pin.scenario;
     const RunDigest digest =
         run_digest_fast(scenario->make(experiment::ScenarioScale::Smoke));
-    // The same pins must hold with the step phases sharded across four
-    // workers: thread count is a throughput knob, not a seed.
-    experiment::ScenarioConfig threaded = scenario->make(experiment::ScenarioScale::Smoke);
-    threaded.sim.threads = 4;
-    const RunDigest threaded_digest = run_digest_fast(threaded);
-    EXPECT_EQ(threaded_digest.event_hash, digest.event_hash)
-        << pin.scenario << ": sharded run diverged from serial";
-    EXPECT_EQ(threaded_digest.events, digest.events) << pin.scenario;
     EXPECT_EQ(digest.event_hash, pin.event_hash)
         << pin.scenario << ": event stream drifted.\n"
         << "  pinned: hash=0x" << std::hex << pin.event_hash << std::dec

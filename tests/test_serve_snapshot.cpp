@@ -334,5 +334,46 @@ TEST(TraceReplay, RejectsVersionSkew) {
   EXPECT_THROW((void)replay_trace(bytes), SnapshotError);
 }
 
+// A trace ends in its step records (five u64 each) and a 19-byte final
+// digest, so the record count must account for exactly the bytes after
+// it. A wrong count is malformed input: it must throw before a world is
+// built, not surface as a replay divergence (count too small) or as a
+// truncation after replaying every step (count too large).
+constexpr std::size_t kTraceRecordBytes = 40;
+constexpr std::size_t kTraceDigestBytes = 19;
+
+TEST(TraceReplay, CorruptRecordCountIsRejected) {
+  const TraceSource source = TraceSource::fuzz_case(testing::campaign_case_seed(2014, 0));
+  const std::vector<std::uint8_t> bytes = record_trace(source);
+  const ReplayReport clean = replay_trace(bytes);
+  ASSERT_TRUE(clean.ok) << clean.detail;
+  // The u64 count sits right before the records.
+  const std::size_t at =
+      bytes.size() - kTraceDigestBytes - kTraceRecordBytes * clean.steps - 8;
+  std::uint64_t count = 0;
+  for (int i = 7; i >= 0; --i) count = (count << 8) | bytes[at + static_cast<std::size_t>(i)];
+  ASSERT_EQ(count, clean.steps);
+  for (const std::uint64_t bad : {count - 1, count + 1, std::uint64_t{1} << 40}) {
+    std::vector<std::uint8_t> corrupt = bytes;
+    for (int i = 0; i < 8; ++i) {
+      corrupt[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(bad >> (8 * i));
+    }
+    EXPECT_THROW((void)replay_trace(corrupt), SnapshotError) << "count " << bad;
+  }
+}
+
+TEST(TraceReplay, TruncationAtEveryByteIsRejected) {
+  // The shortest shrink level of a bank case: a few hundred records.
+  const std::uint64_t seed =
+      testing::with_shrink(testing::campaign_case_seed(2014, 0), testing::ShrinkSpec{3, true, 3});
+  const std::vector<std::uint8_t> bytes = record_trace(TraceSource::fuzz_case(seed));
+  ASSERT_TRUE(replay_trace(bytes).ok);
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    const std::vector<std::uint8_t> truncated(bytes.begin(),
+                                              bytes.begin() + static_cast<std::ptrdiff_t>(n));
+    EXPECT_THROW((void)replay_trace(truncated), SnapshotError) << "truncated to " << n;
+  }
+}
+
 }  // namespace
 }  // namespace ivc::serve

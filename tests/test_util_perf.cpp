@@ -1,8 +1,7 @@
 // Perf instrumentation: the phase timer must record real thread-CPU time
 // (the v2 schema's cpu_seconds was silently 0.000000 for every serial
-// phase — the field existed but only sharded busy-wall time ever fed it),
-// and the parallel accumulator must separate caller CPU from parked-worker
-// CPU so nothing is double counted.
+// phase — the field existed but nothing measured ever fed it), and the
+// sampled CPU clock must extrapolate to every call of a phase.
 #include <gtest/gtest.h>
 
 #include "util/perf.hpp"
@@ -50,21 +49,6 @@ TEST(Perf, DetachedTimerRecordsNothing) {
   // Nothing to assert on a null collector beyond "does not crash"; the
   // attached/detached contract is that the site is free when detached.
   SUCCEED();
-}
-
-TEST(Perf, AddParallelAccumulatesSeparatelyFromCallerCpu) {
-  PerfCollector collector;
-  collector.add(PerfPhase::LaneChange, /*nanos=*/1000, /*cpu_nanos=*/800);
-  collector.add_parallel(PerfPhase::LaneChange, /*nanos=*/3000, /*cpu_nanos=*/2500);
-  collector.add_parallel(PerfPhase::LaneChange, /*nanos=*/1000, /*cpu_nanos=*/500);
-  const PerfPhaseStats& stats = collector.phase(PerfPhase::LaneChange);
-  EXPECT_EQ(stats.calls, 1u);  // add_parallel never counts a call
-  EXPECT_EQ(stats.nanos, 1000u);
-  EXPECT_EQ(stats.cpu_nanos, 800u);
-  EXPECT_EQ(stats.parallel_nanos, 4000u);
-  EXPECT_EQ(stats.parallel_cpu_nanos, 3000u);
-  // cpu_seconds totals caller + parked workers, exactly once each.
-  EXPECT_DOUBLE_EQ(stats.cpu_seconds(), (800.0 + 3000.0) * 1e-9);
 }
 
 TEST(Perf, CpuSecondsExtrapolatesFromSampledCalls) {

@@ -1,10 +1,8 @@
-// Thread pool behaviour: completion, parallel_for coverage, reuse,
-// exception propagation, and the fork-join team's stress/determinism
-// contract (task-order-independent reductions).
+// Thread pool behaviour: completion, parallel_for coverage, reuse and
+// exception propagation.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -86,89 +84,6 @@ TEST(ThreadPool, ParallelForPropagatesFirstException) {
   std::atomic<int> counter{0};
   pool.parallel_for(50, [&](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 50);
-}
-
-// ---- ForkJoinPool -----------------------------------------------------------
-
-TEST(ForkJoinPool, CallerIsWorkerZero) {
-  ForkJoinPool team(3);
-  EXPECT_EQ(team.size(), 3u);
-  std::vector<std::atomic<int>> hits(3);
-  team.run([&](std::size_t worker) { hits[worker].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ForkJoinPool, TeamOfOneRunsInline) {
-  ForkJoinPool team(1);
-  EXPECT_EQ(team.size(), 1u);
-  int runs = 0;
-  team.run([&](std::size_t worker) {
-    EXPECT_EQ(worker, 0u);
-    ++runs;
-  });
-  EXPECT_EQ(runs, 1);
-}
-
-TEST(ForkJoinPool, StressDeterministicOrderIndependentReduction) {
-  // The engine's contract in miniature: each worker reduces its own
-  // contiguous shard into its own slot, the caller combines the slots in
-  // shard order. Repeating the fork-join thousands of times must yield
-  // the same total every time regardless of how the OS schedules the
-  // workers — any cross-shard interference or lost-task bug shows up as a
-  // flaky sum here long before it corrupts an event stream.
-  constexpr std::size_t kWorkers = 4;
-  constexpr std::size_t kItems = 4096;
-  std::vector<std::uint64_t> items(kItems);
-  std::iota(items.begin(), items.end(), 1);
-  const std::uint64_t expected =
-      std::accumulate(items.begin(), items.end(), std::uint64_t{0});
-
-  ForkJoinPool team(kWorkers);
-  std::vector<std::uint64_t> partial(kWorkers);
-  for (int round = 0; round < 2000; ++round) {
-    team.run([&](std::size_t worker) {
-      const std::size_t begin = worker * kItems / kWorkers;
-      const std::size_t end = (worker + 1) * kItems / kWorkers;
-      std::uint64_t sum = 0;
-      for (std::size_t i = begin; i < end; ++i) sum += items[i];
-      partial[worker] = sum;
-    });
-    std::uint64_t total = 0;
-    for (const std::uint64_t p : partial) total += p;
-    ASSERT_EQ(total, expected) << "round " << round;
-  }
-}
-
-TEST(ForkJoinPool, PropagatesWorkerException) {
-  ForkJoinPool team(4);
-  EXPECT_THROW(team.run([](std::size_t worker) {
-                 if (worker == 2) throw std::runtime_error("shard failure");
-               }),
-               std::runtime_error);
-  // The team survives and the next fork-join completes normally.
-  std::atomic<int> counter{0};
-  team.run([&](std::size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 4);
-}
-
-TEST(ForkJoinPool, PropagatesCallerException) {
-  ForkJoinPool team(2);
-  EXPECT_THROW(team.run([](std::size_t worker) {
-                 if (worker == 0) throw std::runtime_error("caller failure");
-               }),
-               std::runtime_error);
-  std::atomic<int> counter{0};
-  team.run([&](std::size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(ForkJoinPool, ReusableAcrossManyForkJoins) {
-  ForkJoinPool team(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 1000; ++i) {
-    team.run([&](std::size_t) { counter.fetch_add(1); });
-  }
-  EXPECT_EQ(counter.load(), 2000);
 }
 
 }  // namespace

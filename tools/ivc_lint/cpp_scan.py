@@ -1,21 +1,17 @@
-"""Token/AST-lite C++ scanner for ivc_lint.
+"""Token-level C++ scanner for ivc_lint.
 
-This is the always-available fallback front-end: a comment/string-aware
-lexer plus a brace-matching function extractor. It is deliberately not a
-C++ parser — it recovers exactly the facts the rules need (identifier
-tokens with line numbers, function definition extents, calls by simple
-name, and the IVC_* marker macros) and nothing more. When libclang is
-importable, libclang_mode.py refines the function/marker facts from a
-real AST; the token stream below is used by every mode for the
-pattern-level rules (R1/R2/R4) and the justification checks.
+A comment/string-aware lexer plus the IVC_* exemption annotations. It is
+deliberately not a C++ parser — it recovers exactly the facts the rules
+need (identifier tokens with line numbers and the justified exemptions)
+and nothing more; every rule (R0/R1/R2/R4) is a pattern over this token
+stream.
 """
 
 from __future__ import annotations
 
-import bisect
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Token kinds: "id", "num", "str", "char", "punct".
 _ID_START = re.compile(r"[A-Za-z_]")
@@ -23,17 +19,15 @@ _ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUM = re.compile(r"\.?[0-9](?:[0-9a-zA-Z_.]|[eEpP][+-])*")
 _RAW_STR = re.compile(r'R"([^()\\ \t\n]*)\(')
 
-# Keywords that look like `name (` but never are function names/calls.
+# Keywords that can follow a type or open a parenthesis but never name a
+# declared variable.
 CONTROL_KEYWORDS = {
     "if", "for", "while", "switch", "catch", "return", "sizeof", "alignof",
     "alignas", "decltype", "static_assert", "noexcept", "new", "delete",
     "throw", "case", "do", "else", "goto", "co_await", "co_return",
     "co_yield", "requires", "typeid", "assert",
 }
-CONTAINER_KEYWORDS = {"namespace", "class", "struct", "union", "enum"}
 
-MARKER_SHARD_PASS = "IVC_SHARD_PASS"
-MARKER_SERIAL_ONLY = "IVC_SERIAL_ONLY"
 MARKER_ORDER_EXEMPT = "IVC_ORDER_EXEMPT"
 MARKER_LINT_ALLOW = "IVC_LINT_ALLOW"
 
@@ -46,19 +40,9 @@ class Token:
 
 
 @dataclass
-class Function:
-    name: str
-    line: int
-    body_start: int  # token index just after the opening '{'
-    body_end: int    # token index of the closing '}'
-    calls: set[str] = field(default_factory=set)
-    idents: set[str] = field(default_factory=set)
-
-
-@dataclass
 class Annotation:
     macro: str          # IVC_ORDER_EXEMPT or IVC_LINT_ALLOW
-    rule: str | None    # "R1".."R4" for LINT_ALLOW, None for ORDER_EXEMPT
+    rule: str | None    # the named rule for LINT_ALLOW, None for ORDER_EXEMPT
     why: str | None     # justification text, None when unparseable
     line: int
 
@@ -67,9 +51,6 @@ class Annotation:
 class FileModel:
     path: str            # path relative to the lint root, posix separators
     tokens: list[Token]
-    functions: list[Function]
-    shard_pass: set[str]
-    serial_only: set[str]
     annotations: list[Annotation]
     # Lines covered by suppressions, per rule: rule -> set of line numbers.
     suppressed: dict[str, set[int]]
@@ -90,8 +71,8 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             continue
         # Preprocessor directive: skip to end of (continued) line. Macro
-        # *definitions* thereby vanish from the stream — markers are read
-        # at their use sites, and #defines can't unbalance brace matching.
+        # *definitions* thereby vanish from the stream — annotations are
+        # read at their use sites.
         if c == "#" and (not tokens or tokens[-1].line != line):
             while i < n:
                 if text[i] == "\n":
@@ -179,141 +160,6 @@ def match_forward(tokens: list[Token], i: int, open_c: str, close_c: str) -> int
     return n
 
 
-def _segment_function_name(tokens: list[Token], start: int, end: int) -> str | None:
-    """If tokens[start:end] (statement head before a '{') looks like a function
-    definition header, return the function's simple name."""
-    # Locate the parameter list: the last top-level `( ... )` group.
-    close = -1
-    depth = 0
-    for k in range(end - 1, start - 1, -1):
-        v = tokens[k].value
-        if v == ")":
-            if depth == 0 and close < 0:
-                close = k
-            depth += 1
-        elif v == "(":
-            depth -= 1
-    if close < 0:
-        return None
-    open_idx = None
-    depth = 0
-    for k in range(close, start - 1, -1):
-        v = tokens[k].value
-        if v == ")":
-            depth += 1
-        elif v == "(":
-            depth -= 1
-            if depth == 0:
-                open_idx = k
-                break
-    if open_idx is None or open_idx == start:
-        return None
-    name_tok = tokens[open_idx - 1]
-    if name_tok.kind != "id" or name_tok.value in CONTROL_KEYWORDS:
-        return None
-    # Tokens between the param close and the '{' must look like qualifiers /
-    # trailing return / ctor init list; '=' or ';' means this is not a body.
-    for k in range(close + 1, end):
-        v = tokens[k].value
-        if v in ("=", ";"):
-            return None
-    # An `=` anywhere at top level before the params usually means an
-    # initializer (`auto x = foo(...) {` does not exist; `int x[] = {...}`
-    # has no param list preceded by an id, so we are already safe).
-    return name_tok.value
-
-
-def _extract_functions(tokens: list[Token]) -> list[Function]:
-    """Brace-matching pass over container scopes (namespaces/classes),
-    recording every function definition's name and body extent."""
-    functions: list[Function] = []
-    n = len(tokens)
-    i = 0
-    stmt_start = 0
-    while i < n:
-        v = tokens[i].value
-        if v in (";",):
-            stmt_start = i + 1
-            i += 1
-            continue
-        if v == "}":
-            stmt_start = i + 1
-            i += 1
-            continue
-        if v != "{":
-            i += 1
-            continue
-        # Decide what this brace opens.
-        seg = tokens[stmt_start:i]
-        seg_values = [t.value for t in seg]
-        if any(k in seg_values for k in CONTAINER_KEYWORDS) and "=" not in seg_values:
-            # namespace/class/struct body: scan inside (methods live here).
-            stmt_start = i + 1
-            i += 1
-            continue
-        # Constructor init list: `Foo::Foo(...) : member_{...}` — a brace
-        # preceded by an identifier or '>' inside the init list is a
-        # member brace-init, not the body; skip over it.
-        name = _segment_function_name(tokens, stmt_start, i)
-        if name is not None and i > 0:
-            has_init_colon = False
-            depth = 0
-            for t in seg:
-                if t.value in ("(", "<", "["):
-                    depth += 1
-                elif t.value in (")", ">", "]"):
-                    depth -= 1
-                elif t.value == ":" and depth == 0:
-                    has_init_colon = True
-            if has_init_colon and tokens[i - 1].kind == "id":
-                # member brace-init: skip the braced group, stay in statement
-                end = match_forward(tokens, i, "{", "}")
-                i = end + 1
-                continue
-        if name is None:
-            # Unknown brace at container scope (initializer, extern "C", ...):
-            # treat `extern "C"` as transparent, anything else as opaque.
-            if "extern" in seg_values:
-                stmt_start = i + 1
-                i += 1
-                continue
-            end = match_forward(tokens, i, "{", "}")
-            i = end + 1
-            stmt_start = i
-            continue
-        body_end = match_forward(tokens, i, "{", "}")
-        fn = Function(name=name, line=tokens[i].line, body_start=i + 1, body_end=body_end)
-        for k in range(i + 1, min(body_end, n)):
-            t = tokens[k]
-            if t.kind != "id" or t.value in CONTROL_KEYWORDS:
-                continue
-            fn.idents.add(t.value)
-            if k + 1 < n and tokens[k + 1].value == "(":
-                fn.calls.add(t.value)
-        functions.append(fn)
-        i = body_end + 1
-        stmt_start = i
-    return functions
-
-
-def _collect_markers(tokens: list[Token]) -> tuple[set[str], set[str]]:
-    """Associate IVC_SHARD_PASS / IVC_SERIAL_ONLY markers with the function
-    name they precede (the next identifier directly followed by '(')."""
-    shard: set[str] = set()
-    serial: set[str] = set()
-    n = len(tokens)
-    for i, tok in enumerate(tokens):
-        if tok.kind != "id" or tok.value not in (MARKER_SHARD_PASS, MARKER_SERIAL_ONLY):
-            continue
-        for k in range(i + 1, min(i + 40, n - 1)):
-            t = tokens[k]
-            if (t.kind == "id" and t.value not in CONTROL_KEYWORDS
-                    and tokens[k + 1].value == "("):
-                (shard if tok.value == MARKER_SHARD_PASS else serial).add(t.value)
-                break
-    return shard, serial
-
-
 def _collect_annotations(tokens: list[Token]) -> list[Annotation]:
     out: list[Annotation] = []
     n = len(tokens)
@@ -352,26 +198,10 @@ def scan_file(abs_path: str, rel_path: str) -> FileModel:
     with open(abs_path, "r", encoding="utf-8", errors="replace") as f:
         text = f.read()
     tokens = tokenize(text)
-    functions = _extract_functions(tokens)
-    shard, serial = _collect_markers(tokens)
     annotations = _collect_annotations(tokens)
     return FileModel(
         path=rel_path.replace(os.sep, "/"),
         tokens=tokens,
-        functions=functions,
-        shard_pass=shard,
-        serial_only=serial,
         annotations=annotations,
         suppressed=_suppressions(annotations),
     )
-
-
-def function_at_line(model: FileModel, line: int) -> Function | None:
-    starts = [fn.line for fn in model.functions]
-    k = bisect.bisect_right(starts, line) - 1
-    if 0 <= k < len(model.functions):
-        fn = model.functions[k]
-        end_line = model.tokens[min(fn.body_end, len(model.tokens) - 1)].line
-        if fn.line <= line <= end_line:
-            return fn
-    return None

@@ -1,21 +1,16 @@
 #!/usr/bin/env python3
-"""ivc_lint — determinism & concurrency lint for the ivc codebase.
+"""ivc_lint — determinism lint for the ivc codebase.
 
 Enforces the repo's determinism invariants over src/:
 
   R0  IVC_ORDER_EXEMPT / IVC_LINT_ALLOW annotations carry real justifications
   R1  randomness only via util/rng, clocks only via util/perf
   R2  no iteration over unordered containers (unless IVC_ORDER_EXEMPT)
-  R3  IVC_SHARD_PASS functions reach no I/O / logging / shared RNG /
-      IVC_SERIAL_ONLY state mutation through the direct call graph
   R4  VehicleStore hot columns are indexed only inside src/traffic/
 
-Front-ends: a dependency-free token/AST-lite scanner (always available)
-and an optional libclang refinement (`--mode libclang`/`auto`) that
-sharpens function extents and marker association from a real AST using
-compile_commands.json. Any libclang failure degrades per-file to token
-facts — CI and dev boxes without python3-clang get identical rule
-coverage, slightly coarser call-graph precision.
+Every rule is a pattern over a dependency-free token scanner
+(cpp_scan.py); compile_commands.json, when present, only drives file
+discovery.
 
 Exit codes: 0 clean (or expectation met), 1 findings (or expectation
 missed), 2 usage/internal error.
@@ -38,7 +33,6 @@ RULE_DOCS = {
     "R0": "annotation hygiene: exemptions must carry a non-empty justification",
     "R1": "randomness only via util/rng; clock reads only via util/perf",
     "R2": "no unordered_map/set iteration without IVC_ORDER_EXEMPT(\"why\")",
-    "R3": "IVC_SHARD_PASS bodies reach no I/O/logging/shared RNG/IVC_SERIAL_ONLY calls",
     "R4": "VehicleStore hot-array access only inside src/traffic/",
 }
 
@@ -54,19 +48,14 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
                         "resolved against it (default: the repo checkout containing "
                         "this script)")
     p.add_argument("--compile-db", default=None,
-                   help="path to compile_commands.json (used for discovery and for "
-                        "libclang parse arguments)")
-    p.add_argument("--mode", choices=("auto", "tokens", "libclang"), default="auto",
-                   help="front-end: 'tokens' = AST-lite scanner only; 'libclang' = "
-                        "require clang python bindings; 'auto' = refine with "
-                        "libclang when importable, else tokens (default)")
+                   help="path to compile_commands.json (used for file discovery)")
     p.add_argument("--rules", default=",".join(rules_mod.ALL_RULES),
                    help="comma-separated subset of rules to run (default: all)")
     p.add_argument("--only-paths", default=None, metavar="src/a.cpp,src/b.hpp",
-                   help="scan everything (keeping the cross-file call graph and "
-                        "container-name pool whole) but report only findings in "
-                        "these root-relative paths; used by lint.sh --diff")
-    p.add_argument("--expect", default=None, metavar="R1,R3",
+                   help="scan everything (keeping the cross-file container-name "
+                        "pool whole) but report only findings in these "
+                        "root-relative paths; used by lint.sh --diff")
+    p.add_argument("--expect", default=None, metavar="R1,R2",
                    help="fixture mode: exit 0 iff exactly this set of rules fired")
     p.add_argument("--expect-clean", action="store_true",
                    help="fixture mode: exit 0 iff no rule fired")
@@ -142,19 +131,6 @@ def main(argv: list[str]) -> int:
         rel = os.path.relpath(path, root)
         models.append(cpp_scan.scan_file(path, rel))
 
-    mode_used = "tokens"
-    if args.mode in ("auto", "libclang"):
-        try:
-            import libclang_mode
-            refined = libclang_mode.refine(models, compile_db, root)
-            mode_used = f"libclang ({refined}/{len(models)} files refined)"
-        except Exception as exc:  # noqa: BLE001 — degrade, never block the lint
-            if args.mode == "libclang":
-                print(f"ivc-lint: error: --mode libclang requested but "
-                      f"unavailable: {exc}", file=sys.stderr)
-                return 2
-            mode_used = "tokens (libclang unavailable)"
-
     rule_set = tuple(r.strip() for r in args.rules.split(",") if r.strip())
     for r in rule_set:
         if r not in rules_mod.ALL_RULES:
@@ -171,9 +147,8 @@ def main(argv: list[str]) -> int:
 
     lines = [f.format() for f in findings]
     summary = (f"ivc-lint: {len(findings)} finding(s) across {len(files)} file(s) "
-               f"scanned{restricted} [mode: {mode_used}]" if findings else
-               f"ivc-lint: clean ({len(files)} files scanned{restricted}) "
-               f"[mode: {mode_used}]")
+               f"scanned{restricted}" if findings else
+               f"ivc-lint: clean ({len(files)} files scanned{restricted})")
     if not args.quiet:
         for line in lines:
             print(line)

@@ -1,7 +1,7 @@
 """Rule implementations for ivc_lint.
 
 Rules operate over cpp_scan.FileModel objects (token streams plus the
-function/marker facts). Each rule returns Finding records; the driver
+exemption annotations). Each rule returns Finding records; the driver
 sorts and formats them. Path conventions are relative to the lint root
 with posix separators (e.g. "src/traffic/sim_engine.cpp").
 
@@ -11,27 +11,23 @@ R1  determinism sources: no ad-hoc randomness outside src/util/rng*, no
     raw clock reads outside src/util/perf*.
 R2  no iteration over unordered containers (hash order is
     implementation-defined) unless IVC_ORDER_EXEMPT'd.
-R3  shard-pass purity: functions marked IVC_SHARD_PASS must not reach
-    (via the direct call graph) I/O, logging, shared sequential RNG,
-    snapshot serialization (save/restore is legal only between steps,
-    from the serial phase), or functions marked IVC_SERIAL_ONLY.
 R4  VehicleStore hot-array encapsulation: no direct hot-column indexing
     outside src/traffic/.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from cpp_scan import (
     CONTROL_KEYWORDS,
     FileModel,
-    Function,
     match_forward,
 )
 
-ALL_RULES = ("R0", "R1", "R2", "R3", "R4")
+# Rule numbers are stable: R3 (shard-pass purity) went with the sharded
+# engine step and its number is not reused.
+ALL_RULES = ("R0", "R1", "R2", "R4")
 
 # --- R1 ---------------------------------------------------------------------
 
@@ -49,39 +45,6 @@ CLOCK_FUNCS = {"clock_gettime", "gettimeofday", "timespec_get", "ftime", "time",
 
 RNG_ALLOWED_PATHS = ("src/util/rng",)
 CLOCK_ALLOWED_PATHS = ("src/util/perf",)
-
-# --- R3 ---------------------------------------------------------------------
-
-IO_SINKS = {
-    "printf", "fprintf", "vfprintf",
-    "puts", "fputs", "fputc", "putchar", "fwrite", "fread", "fopen", "fclose",
-    "fflush", "freopen", "getline",
-    "system", "getenv", "setenv", "popen", "syslog",
-}
-# Flagged on any appearance (stream objects/types are used without a
-# directly-following call paren: `std::cout << x`, `std::ofstream f(path)`).
-IO_BARE_SINKS = {"cout", "cerr", "clog", "wcout", "wcerr",
-                 "ofstream", "ifstream", "fstream"}
-LOG_SINKS = {
-    "IVC_LOG", "IVC_TRACE", "IVC_DEBUG", "IVC_INFO", "IVC_WARN", "IVC_ERROR",
-    "Logger",
-}
-# Sequential RNG reachable through the engine: the shared util::Rng member
-# and its accessor. Counter-based streams (StreamRng, counter_mix,
-# derive_seed, draw_for) are the sanctioned replacements and stay legal.
-SHARED_RNG_IDENTS = {"rng_"}
-SHARED_RNG_CALLS = {"rng"} | RNG_BANNED
-SHARED_RNG_TYPES = {"Rng"}
-# Snapshot/trace serialization (src/serve/): save/restore walks and
-# encodes globally-owned engine state and is legal only *between* steps —
-# a shard pass reaching it would serialize state other workers are
-# mutating mid-step. Call names below are the serve-layer entry points;
-# the bare types catch hand-rolled section encoding inside a pass.
-SNAPSHOT_SINKS = {
-    "save", "restore", "to_bytes", "from_bytes", "add_section",
-    "record_trace", "replay_trace", "write_trace_file", "read_trace_file",
-}
-SNAPSHOT_TYPES = {"SnapshotAccess", "ByteWriter", "ByteReader", "Snapshot"}
 
 # --- R4 ---------------------------------------------------------------------
 
@@ -128,11 +91,11 @@ def check_r0(model: FileModel) -> list[Finding]:
                 "R0", model.path, ann.line,
                 f"{ann.macro} requires a non-empty justification string"))
         if ann.macro == "IVC_LINT_ALLOW":
-            if ann.rule not in ("R1", "R2", "R3", "R4"):
+            if ann.rule not in ("R1", "R2", "R4"):
                 out.append(Finding(
                     "R0", model.path, ann.line,
                     f"IVC_LINT_ALLOW names unknown rule '{ann.rule}' "
-                    f"(expected R1..R4)"))
+                    f"(expected R1, R2 or R4)"))
     return out
 
 
@@ -266,96 +229,6 @@ def check_r2(model: FileModel, unordered_names: set[str]) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# R3: shard-pass purity via name-based call-graph reachability
-# ---------------------------------------------------------------------------
-
-def _build_graph(models: list[FileModel]):
-    defs: dict[str, list[tuple[FileModel, Function]]] = {}
-    shard_roots: set[str] = set()
-    serial_only: set[str] = set()
-    for model in models:
-        shard_roots |= model.shard_pass
-        serial_only |= model.serial_only
-        for fn in model.functions:
-            defs.setdefault(fn.name, []).append((model, fn))
-    edges: dict[str, set[str]] = {}
-    for name, sites in defs.items():
-        callees: set[str] = set()
-        for _, fn in sites:
-            callees |= {c for c in fn.calls if c in defs and c != name}
-        edges[name] = callees
-    return defs, edges, shard_roots, serial_only
-
-
-def _reachable(edges: dict[str, set[str]], roots: set[str]) -> dict[str, list[str]]:
-    """BFS; returns name -> call path from its root (inclusive)."""
-    paths: dict[str, list[str]] = {}
-    dq: deque[str] = deque()
-    for r in sorted(roots):
-        if r in edges and r not in paths:
-            paths[r] = [r]
-            dq.append(r)
-    while dq:
-        cur = dq.popleft()
-        for nxt in sorted(edges.get(cur, ())):
-            if nxt not in paths:
-                paths[nxt] = paths[cur] + [nxt]
-                dq.append(nxt)
-    return paths
-
-
-def _scan_shard_body(out: list[Finding], model: FileModel, fn: Function,
-                     path_desc: str, serial_only: set[str]) -> None:
-    toks = model.tokens
-    end = min(fn.body_end, len(toks))
-    for k in range(fn.body_start, end):
-        t = toks[k]
-        if t.kind != "id" or t.value in CONTROL_KEYWORDS:
-            continue
-        is_call = k + 1 < len(toks) and toks[k + 1].value == "("
-        if is_call and t.value in serial_only:
-            _emit(out, model, "R3", t.line,
-                  f"{path_desc} calls '{t.value}', which is marked "
-                  "IVC_SERIAL_ONLY — shard passes must not mutate engine "
-                  "state owned by the serial phase")
-        elif (is_call and t.value in IO_SINKS) or t.value in IO_BARE_SINKS:
-            _emit(out, model, "R3", t.line,
-                  f"{path_desc} performs I/O via '{t.value}' — shard-pass "
-                  "bodies must be pure compute (no I/O while workers race)")
-        elif t.value in LOG_SINKS:
-            _emit(out, model, "R3", t.line,
-                  f"{path_desc} logs via '{t.value}' — logging from inside a "
-                  "shard pass interleaves nondeterministically; log from the "
-                  "serial phase instead")
-        elif (is_call and t.value in SHARED_RNG_CALLS) or t.value in SHARED_RNG_IDENTS \
-                or t.value in SHARED_RNG_TYPES:
-            _emit(out, model, "R3", t.line,
-                  f"{path_desc} touches shared sequential RNG ('{t.value}') — "
-                  "draw through util::StreamRng / draw_for so results don't "
-                  "depend on shard interleaving")
-        elif (is_call and t.value in SNAPSHOT_SINKS) or t.value in SNAPSHOT_TYPES:
-            _emit(out, model, "R3", t.line,
-                  f"{path_desc} reaches snapshot I/O ('{t.value}') — "
-                  "save/restore serializes globally-owned state and is legal "
-                  "only between steps, from the serial phase")
-
-
-def check_r3(models: list[FileModel]) -> list[Finding]:
-    out: list[Finding] = []
-    defs, edges, shard_roots, serial_only = _build_graph(models)
-    paths = _reachable(edges, shard_roots)
-    for name in sorted(paths):
-        chain = paths[name]
-        for model, fn in defs.get(name, ()):  # scan each definition site
-            if len(chain) == 1:
-                desc = f"shard pass '{name}'"
-            else:
-                desc = f"shard pass '{chain[0]}' (via {' -> '.join(chain)})"
-            _scan_shard_body(out, model, fn, desc, serial_only)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # R4: VehicleStore hot-array encapsulation
 # ---------------------------------------------------------------------------
 
@@ -400,7 +273,5 @@ def run_rules(models: list[FileModel], rules: tuple[str, ...] = ALL_RULES) -> li
             findings.extend(check_r2(model, unordered_names))
         if "R4" in rules:
             findings.extend(check_r4(model))
-    if "R3" in rules:
-        findings.extend(check_r3(models))
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     return findings
