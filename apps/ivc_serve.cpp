@@ -30,6 +30,9 @@ namespace {
 
 using namespace ivc;
 
+// Each reader is its own thread.
+constexpr std::int64_t kMaxReaders = 256;
+
 int serve_under_load(const experiment::ScenarioConfig& config, int readers,
                      std::int64_t min_queries) {
   serve::CountingService service(config);
@@ -116,7 +119,7 @@ int main(int argc, char** argv) {
   util::Cli cli("ivc_serve", "long-running counting service + trace record/replay");
   cli.add_string("scenario", &scenario, "registry scenario to serve");
   cli.add_flag("full", &full, "use evaluation scale instead of smoke scale");
-  cli.add_int("readers", &readers, "concurrent query threads");
+  cli.add_int("readers", &readers, "concurrent query threads (0 to 256)");
   cli.add_int("min-queries", &min_queries, "minimum queries per reader thread");
   cli.add_string("record-trace", &record_trace_path,
                  "run the scenario and write a replayable input trace to this file");
@@ -136,6 +139,12 @@ int main(int argc, char** argv) {
                    static_cast<long long>(value));
       return 1;
     }
+  }
+  // A larger count would also wrap in the int cast below.
+  if (readers > kMaxReaders) {
+    std::fprintf(stderr, "error: --readers must be <= %lld (got %lld)\n",
+                 static_cast<long long>(kMaxReaders), static_cast<long long>(readers));
+    return 1;
   }
 
   if (list) {

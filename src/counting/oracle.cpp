@@ -1,6 +1,5 @@
 #include "counting/oracle.hpp"
 
-#include "util/annotations.hpp"
 #include "util/string_util.hpp"
 
 namespace ivc::counting {
@@ -38,7 +37,6 @@ int Oracle::times_counted(traffic::VehicleId veh) const {
 
 std::uint64_t Oracle::double_counted_vehicles() const {
   std::uint64_t n = 0;
-  IVC_ORDER_EXEMPT("commutative tally over all entries; no event or output depends on visit order");
   for (const auto& [id, times] : counted_times_) {
     if (times > 1) ++n;
   }

@@ -16,8 +16,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
-#include <unordered_map>
 
 #include "roadnet/types.hpp"
 #include "surveillance/recognizer.hpp"
@@ -73,8 +73,9 @@ class Oracle {
   // recycled, so a dense slot-indexed array would conflate successive
   // occupants. Per-vehicle-EVER history is inherent to the double-count
   // check, so this map grows with distinct counted vehicles — acceptable
-  // for a test/benchmark aid that the protocol never reads.
-  std::unordered_map<std::uint64_t, std::uint16_t> counted_times_;
+  // for a test/benchmark aid that the protocol never reads. Ordered, so a
+  // snapshot streams it in its canonical (id) order.
+  std::map<std::uint64_t, std::uint16_t> counted_times_;
   std::uint64_t count_events_ = 0;
   std::int64_t adjustment_sum_ = 0;
   std::uint64_t exit_events_ = 0;

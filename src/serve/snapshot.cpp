@@ -16,10 +16,17 @@
 #include "counting/protocol.hpp"
 #include "traffic/demand.hpp"
 #include "traffic/sim_engine.hpp"
-#include "util/annotations.hpp"
 #include "util/string_util.hpp"
 
 namespace ivc::serve {
+
+// ---- ByteWriter -------------------------------------------------------------
+
+std::uint8_t* ByteWriter::extend(std::size_t n) {
+  const std::size_t at = out_.size();
+  out_.resize(at + n);
+  return out_.data() + at;
+}
 
 // ---- Snapshot container -----------------------------------------------------
 
@@ -49,8 +56,11 @@ bool Snapshot::has_section(std::string_view name) const {
 }
 
 std::vector<std::uint8_t> Snapshot::to_bytes() const {
+  std::size_t size = 4 * 4;  // magic, version, endian mark, section count
+  for (const Section& s : sections_) size += 4 + s.name.size() + 4 + s.payload.size();
   std::vector<std::uint8_t> out;
   ByteWriter w(out);
+  w.reserve(size);
   w.u32(kMagic);
   w.u32(kVersion);
   w.u32(kEndianMark);
@@ -58,7 +68,7 @@ std::vector<std::uint8_t> Snapshot::to_bytes() const {
   for (const Section& s : sections_) {
     w.str(s.name);
     w.u32(static_cast<std::uint32_t>(s.payload.size()));
-    out.insert(out.end(), s.payload.begin(), s.payload.end());
+    w.bytes(s.payload.data(), s.payload.size());
   }
   return out;
 }
@@ -80,6 +90,11 @@ Snapshot Snapshot::from_bytes(const std::vector<std::uint8_t>& bytes) {
   Snapshot snap;
   for (std::uint32_t i = 0; i < count; ++i) {
     std::string name = r.str();
+    // add_section resets a section it already has: a repeated name would
+    // let the later payload silently replace the earlier one.
+    if (snap.has_section(name)) {
+      throw SnapshotError("snapshot repeats section '" + name + "'");
+    }
     const std::uint32_t len = r.u32();
     snap.add_section(name) = r.bytes(len);
   }
@@ -91,7 +106,8 @@ Snapshot Snapshot::from_bytes(const std::vector<std::uint8_t>& bytes) {
 
 namespace {
 
-void write_rng(ByteWriter& w, const util::Rng& rng) {
+template <class W>
+void write_rng(W& w, const util::Rng& rng) {
   const util::Rng::State st = rng.state();
   for (const std::uint64_t word : st.s) w.u64(word);
   w.f64(st.spare_normal);
@@ -106,22 +122,23 @@ void read_rng(ByteReader& r, util::Rng& rng) {
   rng.set_state(st);
 }
 
-void write_time(ByteWriter& w, util::SimTime t) { w.i64(t.millis()); }
+template <class W> void write_time(W& w, util::SimTime t) { w.i64(t.millis()); }
 util::SimTime read_time(ByteReader& r) { return util::SimTime::from_millis(r.i64()); }
 
-void write_vid(ByteWriter& w, traffic::VehicleId id) { w.u64(id.value()); }
+template <class W> void write_vid(W& w, traffic::VehicleId id) { w.u64(id.value()); }
 traffic::VehicleId read_vid(ByteReader& r) {
   const std::uint64_t v = r.u64();
   return traffic::VehicleId{static_cast<std::uint32_t>(v & 0xffffffffULL),
                             static_cast<std::uint32_t>(v >> 32)};
 }
 
-void write_edge(ByteWriter& w, roadnet::EdgeId e) { w.u32(e.value()); }
+template <class W> void write_edge(W& w, roadnet::EdgeId e) { w.u32(e.value()); }
 roadnet::EdgeId read_edge(ByteReader& r) { return roadnet::EdgeId{r.u32()}; }
-void write_node(ByteWriter& w, roadnet::NodeId n) { w.u32(n.value()); }
+template <class W> void write_node(W& w, roadnet::NodeId n) { w.u32(n.value()); }
 roadnet::NodeId read_node(ByteReader& r) { return roadnet::NodeId{r.u32()}; }
 
-void write_label(ByteWriter& w, const v2x::Label& label) {
+template <class W>
+void write_label(W& w, const v2x::Label& label) {
   write_node(w, label.issuer);
   write_edge(w, label.edge);
   write_time(w, label.issued_at);
@@ -135,7 +152,8 @@ v2x::Label read_label(ByteReader& r) {
   return label;
 }
 
-void write_message(ByteWriter& w, const v2x::Message& msg) {
+template <class W>
+void write_message(W& w, const v2x::Message& msg) {
   write_node(w, msg.source);
   write_node(w, msg.destination);
   w.u8(static_cast<std::uint8_t>(msg.payload.index()));
@@ -174,13 +192,21 @@ v2x::Message read_message(ByteReader& r) {
   return msg;
 }
 
-// Smallest encoding of one element behind each count prefix; restore
-// passes them to ByteReader::count, which rejects a count whose elements
-// cannot fit in the bytes left before anything is reserved or looped on.
+// Encoded sizes. Restore passes the smallest encoding of one element
+// behind each count prefix to ByteReader::count, which rejects a count
+// whose elements cannot fit in the bytes left before anything is reserved
+// or looped on. Save adds the same sizes up to size each record exactly.
 constexpr std::size_t kVidBytes = 8;
 constexpr std::size_t kNodeBytes = 4;
 constexpr std::size_t kEdgeBytes = 4;
 constexpr std::size_t kTimeBytes = 8;
+// Rng state: four words, the spare normal and its flag.
+constexpr std::size_t kRngBytes = 4 * 8 + 8 + 1;
+// Engine section up to the slot rows: config echoes (seed, dt, two model
+// flags, lookahead, intersection/segment/lane counts, stream seed), the
+// clock, seven counters, the rng and the slot count.
+constexpr std::size_t kEngineHeaderBytes =
+    (8 + 8 + 1 + 1 + 8 + 8 + 8 + 8 + 8) + kTimeBytes + 7 * 8 + kRngBytes + 8;
 // Engine slot: 5 f64, edge, lane, cooldown, patrol byte, id, 3 attribute
 // bytes, alive, route length, route cursor, cyclic, entry_seq, rng key and
 // draws — with an empty route.
@@ -188,9 +214,44 @@ constexpr std::size_t kSlotBytes = 5 * 8 + 4 + 4 + 4 + 1 + 8 + 3 + 1 + 8 + 8 + 1
 // Message: source, destination, kind byte, the smaller payload (tree ack:
 // node + bool), created_at, hops.
 constexpr std::size_t kMessageBytes = 4 + 4 + 1 + (4 + 1) + 8 + 4;
+// A count report's payload (node + i64) is longer than a tree ack's.
+constexpr std::size_t kReportExtraBytes = (4 + 8) - (4 + 1);
 // OBU entry: generation tag, counted, label flag (no label), overtake
 // delta, cargo count (empty cargo), channel attempts.
 constexpr std::size_t kObuBytes = 8 + 1 + 1 + 4 + 8 + 8;
+// Label: issuer, edge, issue time.
+constexpr std::size_t kLabelBytes = 4 + 4 + kTimeBytes;
+// Protocol section up to the OBU entries, without the seed list: config
+// echoes (seed, loss, open flag, checkpoint/outbox/marker table sizes),
+// started, seed count, the rng, three channel counters, twelve stats and
+// the OBU count.
+constexpr std::size_t kProtocolHeaderBytes =
+    (8 + 8 + 1 + 8 + 8 + 8) + 1 + 8 + kRngBytes + 3 * 8 + 12 * 8 + 8;
+// Checkpoint with no directions, child reports or children: seed and
+// active flags, activation time, predecessor edge, parent, the two
+// direction counts, four adjustment ledgers, the report and child counts,
+// report_sent, subtree total and report time.
+constexpr std::size_t kCheckpointBytes =
+    1 + 1 + kTimeBytes + 4 + 4 + 8 + 8 + 4 * 8 + 8 + 8 + 1 + 8 + kTimeBytes;
+// Inbound direction: edge, state, count, start and stop times.
+constexpr std::size_t kInboundBytes = 4 + 1 + 8 + 2 * kTimeBytes;
+// Outbound direction: edge, needs_label, outcome, failed handoffs, issue time.
+constexpr std::size_t kOutboundBytes = 4 + 1 + 1 + 4 + kTimeBytes;
+// Child report: child node and its subtree total.
+constexpr std::size_t kChildReportBytes = 4 + 8;
+// Oracle tally entry: vehicle id and times counted.
+constexpr std::size_t kTallyEntryBytes = 8 + 2;
+
+std::size_t message_bytes(const v2x::Message& msg) {
+  return kMessageBytes +
+         (std::holds_alternative<v2x::TreeAck>(msg.payload) ? 0 : kReportExtraBytes);
+}
+
+std::size_t obu_bytes(const v2x::ObuState& obu) {
+  std::size_t n = kObuBytes + (obu.label.has_value() ? kLabelBytes : 0);
+  for (const v2x::Message& msg : obu.cargo) n += message_bytes(msg);
+  return n;
+}
 
 void check(bool ok, const char* what) {
   if (!ok) {
@@ -218,73 +279,94 @@ void SimEngine::save(serve::Snapshot& snap) const {
   if (!events_.empty() || !pending_free_.empty() || !active_nodes_.empty()) {
     throw SnapshotError("SimEngine::save is only legal between steps");
   }
-  ByteWriter w(snap.add_section("engine"));
-
-  // Structural-validation block: restore refuses a world built from
-  // different inputs. Thread count is deliberately absent — it must not
-  // be state.
-  w.u64(config_.seed);
-  w.f64(config_.dt);
-  w.boolean(config_.multi_admission);
-  w.boolean(config_.allow_lane_change);
-  w.f64(config_.intersection_lookahead);
-  w.u64(net_.num_intersections());
-  w.u64(net_.num_segments());
-  w.u64(lanes_.size());
-  w.u64(vehicle_stream_seed_);
-
-  // Clock and counters.
-  write_time(w, now_);
-  w.u64(step_count_);
-  w.u64(total_transits_);
-  w.u64(total_spawned_);
-  w.u64(entry_seq_counter_);
-  w.u64(events_emitted_);
-  w.u64(population_inside_);
-  w.u64(peak_occupied_lanes_);
-  serve::write_rng(w, rng_);
-
-  // Vehicle store, hot row + cold record per slot.
+  // The section's exact size, so its buffer grows once; each part below
+  // is one record whose size the writer checks.
   const std::size_t slots = store_.slot_count();
-  w.u64(slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    w.f64(store_.position[i]);
-    w.f64(store_.prev_position[i]);
-    w.f64(store_.speed[i]);
-    w.f64(store_.length[i]);
-    w.f64(store_.desired_speed_factor[i]);
-    serve::write_edge(w, store_.edge[i]);
-    w.i32(store_.lane[i]);
-    w.i32(store_.lane_change_cooldown[i]);
-    w.u8(store_.is_patrol[i]);
-    const VehicleCold& cold = store_.cold[i];
-    serve::write_vid(w, cold.id);
-    w.u8(static_cast<std::uint8_t>(cold.attrs.color));
-    w.u8(static_cast<std::uint8_t>(cold.attrs.type));
-    w.u8(static_cast<std::uint8_t>(cold.attrs.brand));
-    w.boolean(cold.alive);
-    w.u64(cold.route.edges.size());
-    for (const roadnet::EdgeId e : cold.route.edges) serve::write_edge(w, e);
-    w.u64(cold.route.next);
-    w.boolean(cold.route.cyclic);
-    w.u64(cold.entry_seq);
-    w.u64(cold.rng_key);
-    w.u64(cold.rng_draws);
+  const auto row_bytes = [&](std::size_t i) {
+    return serve::kSlotBytes + serve::kEdgeBytes * store_.cold[i].route.edges.size();
+  };
+  const std::size_t list_bytes = 3 * sizeof(std::uint64_t) +
+                                 sizeof(std::uint32_t) * free_slots_.size() +
+                                 serve::kVidBytes * (alive_.size() + watched_.size());
+  std::size_t lane_bytes = sizeof(std::uint64_t) * (1 + lanes_.size());
+  for (const std::vector<VehicleId>& lane : lanes_) lane_bytes += serve::kVidBytes * lane.size();
+  std::size_t size = serve::kEngineHeaderBytes + list_bytes + lane_bytes;
+  for (std::size_t i = 0; i < slots; ++i) size += row_bytes(i);
+
+  ByteWriter w(snap.add_section("engine"));
+  w.reserve(size);
+  {
+    ByteWriter::Record rec = w.record(serve::kEngineHeaderBytes);
+    // Structural-validation block: restore refuses a world built from
+    // different inputs. Thread count is deliberately absent — it must not
+    // be state.
+    rec.u64(config_.seed);
+    rec.f64(config_.dt);
+    rec.boolean(config_.multi_admission);
+    rec.boolean(config_.allow_lane_change);
+    rec.f64(config_.intersection_lookahead);
+    rec.u64(net_.num_intersections());
+    rec.u64(net_.num_segments());
+    rec.u64(lanes_.size());
+    rec.u64(vehicle_stream_seed_);
+
+    // Clock and counters.
+    serve::write_time(rec, now_);
+    rec.u64(step_count_);
+    rec.u64(total_transits_);
+    rec.u64(total_spawned_);
+    rec.u64(entry_seq_counter_);
+    rec.u64(events_emitted_);
+    rec.u64(population_inside_);
+    rec.u64(peak_occupied_lanes_);
+    serve::write_rng(rec, rng_);
+    rec.u64(slots);
   }
 
-  w.u64(free_slots_.size());
-  for (const std::uint32_t s : free_slots_) w.u32(s);
-  w.u64(alive_.size());
-  for (const VehicleId id : alive_) serve::write_vid(w, id);
-  w.u64(watched_.size());
-  for (const VehicleId id : watched_) serve::write_vid(w, id);
+  // Vehicle store, hot row + cold record per slot.
+  for (std::size_t i = 0; i < slots; ++i) {
+    ByteWriter::Record rec = w.record(row_bytes(i));
+    rec.f64(store_.position[i]);
+    rec.f64(store_.prev_position[i]);
+    rec.f64(store_.speed[i]);
+    rec.f64(store_.length[i]);
+    rec.f64(store_.desired_speed_factor[i]);
+    serve::write_edge(rec, store_.edge[i]);
+    rec.i32(store_.lane[i]);
+    rec.i32(store_.lane_change_cooldown[i]);
+    rec.u8(store_.is_patrol[i]);
+    const VehicleCold& cold = store_.cold[i];
+    serve::write_vid(rec, cold.id);
+    rec.u8(static_cast<std::uint8_t>(cold.attrs.color));
+    rec.u8(static_cast<std::uint8_t>(cold.attrs.type));
+    rec.u8(static_cast<std::uint8_t>(cold.attrs.brand));
+    rec.boolean(cold.alive);
+    rec.u64(cold.route.edges.size());
+    for (const roadnet::EdgeId e : cold.route.edges) serve::write_edge(rec, e);
+    rec.u64(cold.route.next);
+    rec.boolean(cold.route.cyclic);
+    rec.u64(cold.entry_seq);
+    rec.u64(cold.rng_key);
+    rec.u64(cold.rng_draws);
+  }
+
+  {
+    ByteWriter::Record rec = w.record(list_bytes);
+    rec.u64(free_slots_.size());
+    for (const std::uint32_t s : free_slots_) rec.u32(s);
+    rec.u64(alive_.size());
+    for (const VehicleId id : alive_) serve::write_vid(rec, id);
+    rec.u64(watched_.size());
+    for (const VehicleId id : watched_) serve::write_vid(rec, id);
+  }
 
   // Lane membership is serialized explicitly: in-lane order encodes
   // arrival history (position ties), which positions alone cannot rebuild.
-  w.u64(lanes_.size());
+  ByteWriter::Record rec = w.record(lane_bytes);
+  rec.u64(lanes_.size());
   for (const std::vector<VehicleId>& lane : lanes_) {
-    w.u64(lane.size());
-    for (const VehicleId id : lane) serve::write_vid(w, id);
+    rec.u64(lane.size());
+    for (const VehicleId id : lane) serve::write_vid(rec, id);
   }
 }
 
@@ -456,97 +538,125 @@ void SnapshotAccess::restore(traffic::DemandModel& demand, const Snapshot& snap)
 }
 
 void SnapshotAccess::save(const counting::CountingProtocol& p, Snapshot& snap) {
+  // The section's exact size, so its buffer grows once; each part below
+  // is one record whose size the writer checks.
+  const std::size_t head_bytes = kProtocolHeaderBytes + kNodeBytes * p.seeds_.size();
+  const auto box_bytes = [](const auto& box) {
+    std::size_t n = 8 + kTimeBytes * box.size();
+    for (const auto& stamped : box) n += message_bytes(stamped.msg);
+    return n;
+  };
+  const auto checkpoint_bytes = [](const counting::Checkpoint& cp) {
+    return kCheckpointBytes + kInboundBytes * cp.inbound_.size() +
+           kOutboundBytes * cp.outbound_.size() + kChildReportBytes * cp.child_reports_.size() +
+           kNodeBytes * cp.children_.size();
+  };
+  std::size_t size = head_bytes + kVidBytes * p.marker_on_edge_.size();
+  for (const auto& entry : p.obus_.entries_) size += obu_bytes(entry.state);
+  for (const auto& box : p.outbox_) size += box_bytes(box);
+  for (const counting::Checkpoint& cp : p.checkpoints_) size += checkpoint_bytes(cp);
+
   ByteWriter w(snap.add_section("protocol"));
+  w.reserve(size);
+  {
+    ByteWriter::Record rec = w.record(head_bytes);
+    rec.u64(p.config_.seed);
+    rec.f64(p.config_.channel_loss);
+    rec.boolean(p.config_.open_system);
+    rec.u64(p.checkpoints_.size());
+    rec.u64(p.outbox_.size());
+    rec.u64(p.marker_on_edge_.size());
 
-  w.u64(p.config_.seed);
-  w.f64(p.config_.channel_loss);
-  w.boolean(p.config_.open_system);
-  w.u64(p.checkpoints_.size());
-  w.u64(p.outbox_.size());
-  w.u64(p.marker_on_edge_.size());
+    rec.boolean(p.started_);
+    rec.u64(p.seeds_.size());
+    for (const roadnet::NodeId n : p.seeds_) write_node(rec, n);
+    write_rng(rec, p.rng_);
 
-  w.boolean(p.started_);
-  w.u64(p.seeds_.size());
-  for (const roadnet::NodeId n : p.seeds_) write_node(w, n);
-  write_rng(w, p.rng_);
+    rec.u64(p.channel_.anonymous_attempts_);
+    rec.u64(p.channel_.attempts_);
+    rec.u64(p.channel_.failures_);
 
-  w.u64(p.channel_.anonymous_attempts_);
-  w.u64(p.channel_.attempts_);
-  w.u64(p.channel_.failures_);
+    const auto& stats = p.stats_;
+    rec.u64(stats.count_events);
+    rec.u64(stats.labels_issued);
+    rec.u64(stats.label_handoff_failures);
+    rec.u64(stats.activations_by_label);
+    rec.u64(stats.markers_consumed);
+    rec.u64(stats.messages_sent);
+    rec.u64(stats.messages_delivered);
+    rec.u64(stats.message_pickup_failures);
+    rec.u64(stats.patrol_relays);
+    rec.u64(stats.overtake_events);
+    rec.u64(stats.interaction_entries);
+    rec.u64(stats.interaction_exits);
 
-  const auto& stats = p.stats_;
-  w.u64(stats.count_events);
-  w.u64(stats.labels_issued);
-  w.u64(stats.label_handoff_failures);
-  w.u64(stats.activations_by_label);
-  w.u64(stats.markers_consumed);
-  w.u64(stats.messages_sent);
-  w.u64(stats.messages_delivered);
-  w.u64(stats.message_pickup_failures);
-  w.u64(stats.patrol_relays);
-  w.u64(stats.overtake_events);
-  w.u64(stats.interaction_entries);
-  w.u64(stats.interaction_exits);
+    rec.u64(p.obus_.entries_.size());
+  }
 
-  w.u64(p.obus_.entries_.size());
   for (const auto& entry : p.obus_.entries_) {
-    w.u64(entry.generation_tag);
     const v2x::ObuState& obu = entry.state;
-    w.boolean(obu.counted);
-    w.boolean(obu.label.has_value());
-    if (obu.label.has_value()) write_label(w, *obu.label);
-    w.i32(obu.overtake_delta);
-    w.u64(obu.cargo.size());
-    for (const v2x::Message& msg : obu.cargo) write_message(w, msg);
-    w.u64(obu.channel_attempts);
+    ByteWriter::Record rec = w.record(obu_bytes(obu));
+    rec.u64(entry.generation_tag);
+    rec.boolean(obu.counted);
+    rec.boolean(obu.label.has_value());
+    if (obu.label.has_value()) write_label(rec, *obu.label);
+    rec.i32(obu.overtake_delta);
+    rec.u64(obu.cargo.size());
+    for (const v2x::Message& msg : obu.cargo) write_message(rec, msg);
+    rec.u64(obu.channel_attempts);
   }
 
   for (const auto& box : p.outbox_) {
-    w.u64(box.size());
+    ByteWriter::Record rec = w.record(box_bytes(box));
+    rec.u64(box.size());
     for (const auto& stamped : box) {
-      write_message(w, stamped.msg);
-      write_time(w, stamped.since);
+      write_message(rec, stamped.msg);
+      write_time(rec, stamped.since);
     }
   }
 
-  for (const traffic::VehicleId marker : p.marker_on_edge_) write_vid(w, marker);
+  {
+    ByteWriter::Record rec = w.record(kVidBytes * p.marker_on_edge_.size());
+    for (const traffic::VehicleId marker : p.marker_on_edge_) write_vid(rec, marker);
+  }
 
   for (const counting::Checkpoint& cp : p.checkpoints_) {
-    w.boolean(cp.seed_);
-    w.boolean(cp.active_);
-    write_time(w, cp.activation_time_);
-    write_edge(w, cp.predecessor_edge_);
-    write_node(w, cp.parent_);
-    w.u64(cp.inbound_.size());
+    ByteWriter::Record rec = w.record(checkpoint_bytes(cp));
+    rec.boolean(cp.seed_);
+    rec.boolean(cp.active_);
+    write_time(rec, cp.activation_time_);
+    write_edge(rec, cp.predecessor_edge_);
+    write_node(rec, cp.parent_);
+    rec.u64(cp.inbound_.size());
     for (const counting::InboundDirection& in : cp.inbound_) {
-      write_edge(w, in.edge);
-      w.u8(static_cast<std::uint8_t>(in.state));
-      w.i64(in.count);
-      write_time(w, in.start_time);
-      write_time(w, in.stop_time);
+      write_edge(rec, in.edge);
+      rec.u8(static_cast<std::uint8_t>(in.state));
+      rec.i64(in.count);
+      write_time(rec, in.start_time);
+      write_time(rec, in.stop_time);
     }
-    w.u64(cp.outbound_.size());
+    rec.u64(cp.outbound_.size());
     for (const counting::OutboundDirection& out : cp.outbound_) {
-      write_edge(w, out.edge);
-      w.boolean(out.needs_label);
-      w.u8(static_cast<std::uint8_t>(out.outcome));
-      w.i32(out.failed_handoffs);
-      write_time(w, out.issue_time);
+      write_edge(rec, out.edge);
+      rec.boolean(out.needs_label);
+      rec.u8(static_cast<std::uint8_t>(out.outcome));
+      rec.i32(out.failed_handoffs);
+      write_time(rec, out.issue_time);
     }
-    w.i64(cp.interaction_in_);
-    w.i64(cp.interaction_out_);
-    w.i64(cp.loss_adjust_);
-    w.i64(cp.overtake_adjust_);
-    w.u64(cp.child_reports_.size());
+    rec.i64(cp.interaction_in_);
+    rec.i64(cp.interaction_out_);
+    rec.i64(cp.loss_adjust_);
+    rec.i64(cp.overtake_adjust_);
+    rec.u64(cp.child_reports_.size());
     for (const auto& [child, total] : cp.child_reports_) {
-      w.u32(child);
-      w.i64(total);
+      rec.u32(child);
+      rec.i64(total);
     }
-    w.u64(cp.children_.size());
-    for (const roadnet::NodeId child : cp.children_) write_node(w, child);
-    w.boolean(cp.report_sent_);
-    w.i64(cp.subtree_total_);
-    write_time(w, cp.report_time_);
+    rec.u64(cp.children_.size());
+    for (const roadnet::NodeId child : cp.children_) write_node(rec, child);
+    rec.boolean(cp.report_sent_);
+    rec.i64(cp.subtree_total_);
+    write_time(rec, cp.report_time_);
   }
 }
 
@@ -643,7 +753,7 @@ void SnapshotAccess::restore(counting::CountingProtocol& p, const Snapshot& snap
     cp.loss_adjust_ = r.i64();
     cp.overtake_adjust_ = r.i64();
     cp.child_reports_.clear();
-    const std::size_t report_count = r.count(sizeof(std::uint32_t) + sizeof(std::int64_t));
+    const std::size_t report_count = r.count(kChildReportBytes);
     for (std::size_t i = 0; i < report_count; ++i) {
       const std::uint32_t child = r.u32();
       cp.child_reports_[child] = r.i64();
@@ -668,18 +778,16 @@ void SnapshotAccess::restore(counting::CountingProtocol& p, const Snapshot& snap
 
 void SnapshotAccess::save(const counting::Oracle& oracle, Snapshot& snap) {
   ByteWriter w(snap.add_section("oracle"));
-  w.u64(oracle.count_events_);
-  w.i64(oracle.adjustment_sum_);
-  w.u64(oracle.exit_events_);
-  std::vector<std::pair<std::uint64_t, std::uint16_t>> counted;
-  counted.reserve(oracle.counted_times_.size());
-  IVC_ORDER_EXEMPT("entries are collected then sorted by key; serialized order is canonical");
-  for (const auto& [id, times] : oracle.counted_times_) counted.emplace_back(id, times);
-  std::sort(counted.begin(), counted.end());
-  w.u64(counted.size());
-  for (const auto& [id, times] : counted) {
-    w.u64(id);
-    w.u16(times);
+  ByteWriter::Record rec =
+      w.record(8 + 8 + 8 + 8 + kTallyEntryBytes * oracle.counted_times_.size());
+  rec.u64(oracle.count_events_);
+  rec.i64(oracle.adjustment_sum_);
+  rec.u64(oracle.exit_events_);
+  // The tally is ordered by id, which is the canonical serialized order.
+  rec.u64(oracle.counted_times_.size());
+  for (const auto& [id, times] : oracle.counted_times_) {
+    rec.u64(id);
+    rec.u16(times);
   }
 }
 
@@ -688,12 +796,17 @@ void SnapshotAccess::restore(counting::Oracle& oracle, const Snapshot& snap) {
   oracle.count_events_ = r.u64();
   oracle.adjustment_sum_ = r.i64();
   oracle.exit_events_ = r.u64();
-  oracle.counted_times_.clear();
-  const std::size_t n = r.count(sizeof(std::uint64_t) + sizeof(std::uint16_t));
-  oracle.counted_times_.reserve(n);
+  auto& tally = oracle.counted_times_;
+  tally.clear();
+  const std::size_t n = r.count(kTallyEntryBytes);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t id = r.u64();
-    oracle.counted_times_[id] = r.u16();
+    // Save writes ids strictly increasing; anything else is corrupt (a
+    // repeated id would silently overwrite the earlier entry).
+    if (!tally.empty() && tally.rbegin()->first >= id) {
+      throw SnapshotError("oracle tally ids are not strictly increasing");
+    }
+    tally.emplace_hint(tally.end(), id, r.u16());
   }
   r.expect_end("oracle");
 }

@@ -2,8 +2,12 @@
 //
 // A Snapshot is a set of named sections, each an opaque byte payload
 // written through an explicit little-endian codec — the format is
-// endian-stable by construction (every integer is serialized byte by
-// byte, doubles as their IEEE-754 bit patterns), never a memory dump.
+// endian-stable by construction (every integer is stored with shifts into
+// bytes of known significance, doubles as their IEEE-754 bit patterns),
+// never a memory dump. Each value grows the buffer once, through one
+// out-of-line ByteWriter::extend; a hot loop sizes a whole record up front
+// (ByteWriter::record) and fills it through a cursor, and the big sections
+// reserve their exact size before they write.
 // Sections keep producers independent: the engine, demand model,
 // protocol, oracle and patrol fleet each own one section, and restore
 // looks its section up by name instead of trusting a global offset.
@@ -25,7 +29,10 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
+
+#include "util/assert.hpp"
 
 namespace ivc::traffic {
 class DemandModel;
@@ -43,32 +50,85 @@ class SnapshotError : public std::runtime_error {
   explicit SnapshotError(const std::string& what) : std::runtime_error(what) {}
 };
 
-// Append-only little-endian encoder over a caller-owned byte vector.
-class ByteWriter {
- public:
-  explicit ByteWriter(std::vector<std::uint8_t>& out) : out_(out) {}
+// Stores `v` at `at` as sizeof(U) little-endian bytes.
+template <class U>
+inline void store_le(std::uint8_t* at, U v) {
+  for (std::size_t i = 0; i < sizeof(U); ++i) at[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) { le(v, 2); }
-  void u32(std::uint32_t v) { le(v, 4); }
-  void u64(std::uint64_t v) { le(v, 8); }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+// The value writers ByteWriter and ByteWriter::Record share; `Derived`
+// supplies `std::uint8_t* take(std::size_t n)`, the next n bytes to fill.
+template <class Derived>
+class LittleEndianWriter {
+ public:
+  void u8(std::uint8_t v) { put(v); }
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void i32(std::int32_t v) { put(static_cast<std::uint32_t>(v)); }
+  void i64(std::int64_t v) { put(static_cast<std::uint64_t>(v)); }
   void f64(double v) {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
+    put(bits);
   }
   void boolean(bool v) { u8(v ? 1 : 0); }
-  void str(std::string_view s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
-  }
 
  private:
-  void le(std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  friend Derived;
+  LittleEndianWriter() = default;
+
+  template <class U>
+  void put(U v) {
+    store_le(static_cast<Derived*>(this)->take(sizeof(U)), v);
   }
+};
+
+// Append-only little-endian encoder over a caller-owned byte vector.
+class ByteWriter : public LittleEndianWriter<ByteWriter> {
+ public:
+  // A cursor over `n` bytes that record(n) has already appended. It points
+  // into the writer's buffer, which the next extend() may move: finish one
+  // record before starting the next. Writing past the end, or leaving
+  // bytes unwritten, is a bug in the caller's size and aborts.
+  class Record : public LittleEndianWriter<Record> {
+   public:
+    Record(const Record&) = delete;
+    Record& operator=(const Record&) = delete;
+    ~Record() { IVC_ASSERT_MSG(at_ == end_, "snapshot record left bytes unwritten"); }
+
+   private:
+    friend class ByteWriter;
+    friend class LittleEndianWriter<Record>;
+    Record(std::uint8_t* at, std::size_t n) : at_(at), end_(at + n) {}
+    std::uint8_t* take(std::size_t n) {
+      IVC_ASSERT_MSG(n <= static_cast<std::size_t>(end_ - at_), "snapshot record overrun");
+      return std::exchange(at_, at_ + n);
+    }
+    std::uint8_t* at_;
+    std::uint8_t* end_;
+  };
+
+  explicit ByteWriter(std::vector<std::uint8_t>& out) : out_(out) {}
+
+  // Room for `n` more bytes, so the appends that follow never reallocate.
+  void reserve(std::size_t n) { out_.reserve(out_.size() + n); }
+  void bytes(const std::uint8_t* data, std::size_t n) {
+    if (n > 0) std::memcpy(extend(n), data, n);
+  }
+  void str(std::string_view s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+  }
+  [[nodiscard]] Record record(std::size_t n) { return Record(extend(n), n); }
+
+ private:
+  friend class LittleEndianWriter<ByteWriter>;
+  std::uint8_t* take(std::size_t n) { return extend(n); }
+  // Appends `n` bytes and returns where they start. Out of line: gcc 12
+  // inlining the vector growth into a caller raises a false-positive
+  // -Wstringop-overflow.
+  std::uint8_t* extend(std::size_t n);
   std::vector<std::uint8_t>& out_;
 };
 

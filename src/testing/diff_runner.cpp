@@ -209,11 +209,18 @@ RunDigest run_digest_roundtrip(const experiment::ScenarioConfig& config,
 
   serve::Snapshot snap;
   original.save(snap);
-  const std::vector<std::uint8_t> bytes = snap.to_bytes();
-  const serve::Snapshot parsed = serve::Snapshot::from_bytes(bytes);
+  digest.snapshot_bytes = snap.to_bytes();
+  const serve::Snapshot parsed = serve::Snapshot::from_bytes(digest.snapshot_bytes);
 
   serve::SimWorld resumed(config, hooks, serve::SimWorld::Mode::Restore);
   resumed.restore(parsed);
+  // A field the reader drops or the writer reorders need not change a
+  // later event; re-saving the restored world catches it at the cut.
+  serve::Snapshot resaved;
+  resumed.save(resaved);
+  if (failure.empty() && resaved.to_bytes() != digest.snapshot_bytes) {
+    failure = "the restored world re-saves to different snapshot bytes";
+  }
   if (failure.empty() && !resumed.protocol().debug_aggregates_consistent()) {
     failure = "protocol aggregates disagree with a full scan after restore";
   }

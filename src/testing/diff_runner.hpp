@@ -80,6 +80,9 @@ struct RunDigest {
   // full-scan recount after a step (checked on every run), plus, on the
   // reference run, the kernel's invariant recounts and route validations.
   std::vector<std::string> violations;
+  // Roundtrip runs only: the encoded snapshot the resumed world was
+  // restored from. compare() skips it, since the reference run takes none.
+  std::vector<std::uint8_t> snapshot_bytes;
 };
 
 using EngineFactory = std::function<std::unique_ptr<traffic::SimEngine>(
@@ -117,7 +120,9 @@ struct DiffResult {
 // digest fills the `fast` slot; the `reference` slot is the uninterrupted
 // run. A restore that loses or perturbs any state shows up as the usual
 // first-field divergence (event hash, checkpoint totals, oracle
-// verdicts...). `snapshot_at <= 0` derives a pseudo-random step in
+// verdicts...); a writer and reader that disagree show up as a violation,
+// because the restored world must re-save to the bytes it was restored
+// from. `snapshot_at <= 0` derives a pseudo-random step in
 // [1, max steps] from the config seed, so the seed bank probes a different
 // cut point per case. `fast_factory` substitutes the engine under test on
 // BOTH sides.

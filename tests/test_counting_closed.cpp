@@ -2,6 +2,8 @@
 // properties, across topologies, volumes, seed counts and channel loss.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "counting_test_helpers.hpp"
 
 namespace ivc::counting {
@@ -37,6 +39,10 @@ roadnet::RoadNetwork make_topology(int topology) {
     }
   }
 }
+
+// gtest prints the case (and gtest_discover_tests puts that print into the
+// ctest name) by its name, not by its raw bytes, which hold a pointer.
+void PrintTo(const LosslessCase& c, std::ostream* os) { *os << c.name; }
 
 class LosslessClosedTest : public ::testing::TestWithParam<LosslessCase> {};
 

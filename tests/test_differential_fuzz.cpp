@@ -99,11 +99,26 @@ TEST(DifferentialFuzz, ConvergedCasesAreExact) {
 // hash, checkpoint totals, oracle verdicts, ...) must be byte-identical to
 // the uninterrupted run. This is the acceptance gate for the serve layer:
 // restore-then-continue is bit-exact, or the snapshot is not a snapshot.
+//
+// FNV-1a fold of every byte of every bank case's encoded snapshot (at its
+// seed-derived cut), in bank order. The roundtrip only proves the reader
+// agrees with the writer; this pin proves the bytes themselves did not
+// drift, so a codec rewrite that keeps kVersion must reproduce it.
+// Pinned at the commit before the writer went from per-byte to bulk
+// appends, which had to reproduce it unedited. A deliberate layout change
+// bumps Snapshot::kVersion and re-pins this from the failure message; any
+// other mismatch is a regression: bisect it, do not re-pin it.
+constexpr std::uint64_t kSnapshotBankDigest = 0x5ab22f38423e0421ull;
+
 TEST(DifferentialFuzz, SeedBankSnapshotRoundtripIsBitExact) {
   int failures = 0;
+  std::uint64_t snapshot_digest = 1469598103934665603ull;  // FNV-1a offset basis
   for (int i = 0; i < kBankCases; ++i) {
     const std::uint64_t seed = bank_seed(kBankCampaignSeed, static_cast<std::uint64_t>(i));
     const DiffResult diff = diff_case_snapshot(seed, /*snapshot_at=*/-1);
+    for (const std::uint8_t byte : diff.fast.snapshot_bytes) {
+      snapshot_digest = (snapshot_digest ^ byte) * 1099511628211ull;  // FNV-1a prime
+    }
     if (!diff.match) {
       ++failures;
       ADD_FAILURE() << "case " << i << " lost state across save/restore\n  " << diff.summary
@@ -115,6 +130,12 @@ TEST(DifferentialFuzz, SeedBankSnapshotRoundtripIsBitExact) {
     if (failures >= 3) break;  // enough signal; keep the log readable
   }
   EXPECT_EQ(failures, 0);
+  EXPECT_EQ(snapshot_digest, kSnapshotBankDigest)
+      << "snapshot bank digest drifted: pinned 0x" << std::hex << kSnapshotBankDigest
+      << ", actual 0x" << snapshot_digest << std::dec
+      << ". If the layout changed on purpose, bump Snapshot::kVersion and update "
+         "kSnapshotBankDigest in "
+      << __FILE__ << "; otherwise bisect.";
 }
 
 // ---- injected-bug self-tests ------------------------------------------------

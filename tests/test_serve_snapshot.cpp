@@ -91,6 +91,50 @@ TEST(SnapshotCodec, ByteOrderIsExplicitLittleEndian) {
   EXPECT_EQ(bytes[3], 0x01);
 }
 
+// A record is the same encoding, written through a cursor over bytes
+// appended in one go.
+TEST(SnapshotCodec, RecordWritesTheSameBytesAsSingleValues) {
+  std::vector<std::uint8_t> single;
+  ByteWriter one(single);
+  one.u8(0xab);
+  one.u16(0xbeef);
+  one.i32(-5);
+  one.f64(-2.5);
+  one.boolean(true);
+  one.u64(0x0123456789abcdefULL);
+
+  std::vector<std::uint8_t> recorded;
+  ByteWriter w(recorded);
+  w.u8(0xab);
+  {
+    ByteWriter::Record rec = w.record(2 + 4 + 8 + 1);
+    rec.u16(0xbeef);
+    rec.i32(-5);
+    rec.f64(-2.5);
+    rec.boolean(true);
+  }
+  w.u64(0x0123456789abcdefULL);
+  EXPECT_EQ(recorded, single);
+}
+
+// A record's size is the caller's promise; breaking it either way aborts.
+TEST(SnapshotCodecDeath, RecordMustBeFilledExactly) {
+  std::vector<std::uint8_t> bytes;
+  ByteWriter w(bytes);
+  EXPECT_DEATH(
+      {
+        ByteWriter::Record rec = w.record(4);
+        rec.u64(1);
+      },
+      "snapshot record overrun");
+  EXPECT_DEATH(
+      {
+        ByteWriter::Record rec = w.record(4);
+        rec.u16(1);
+      },
+      "snapshot record left bytes unwritten");
+}
+
 TEST(SnapshotCodec, TruncationAndTrailingBytesAreLoud) {
   std::vector<std::uint8_t> bytes;
   ByteWriter w(bytes);
@@ -162,6 +206,23 @@ TEST(SnapshotContainer, RejectsTruncatedSectionTable) {
   w.u64(42);
   std::vector<std::uint8_t> bytes = snap.to_bytes();
   bytes.resize(bytes.size() - 3);
+  EXPECT_THROW((void)Snapshot::from_bytes(bytes), SnapshotError);
+}
+
+// add_section resets a section it already has, so a repeated name would
+// let the later payload silently replace the earlier one.
+TEST(SnapshotContainer, RejectsRepeatedSectionName) {
+  std::vector<std::uint8_t> bytes;
+  ByteWriter w(bytes);
+  w.u32(Snapshot::kMagic);
+  w.u32(Snapshot::kVersion);
+  w.u32(Snapshot::kEndianMark);
+  w.u32(2);
+  for (const std::uint64_t value : {1u, 2u}) {
+    w.str("alpha");
+    w.u32(8);
+    w.u64(value);
+  }
   EXPECT_THROW((void)Snapshot::from_bytes(bytes), SnapshotError);
 }
 
@@ -305,6 +366,100 @@ TEST(SimWorldSnapshot, OutOfRangeLaneVehicleIdIsRejected) {
 
   SimWorld target(config, SimWorld::Mode::Restore);
   EXPECT_THROW(target.restore(Snapshot::from_bytes(snap.to_bytes())), SnapshotError);
+}
+
+// The oracle's tally is saved in strictly increasing id order, so restore
+// rejects a repeated id (which would overwrite the earlier entry) and an
+// id out of order.
+TEST(SimWorldSnapshot, OracleTallyIdsMustStrictlyIncrease) {
+  SimWorld source(tiny_config());
+  source.step();
+  Snapshot snap;
+  source.save(snap);
+  const auto with_tally = [&](std::initializer_list<std::uint64_t> ids) {
+    Snapshot edited = snap;
+    ByteWriter w(edited.add_section("oracle"));
+    w.u64(ids.size());  // count events
+    w.i64(0);           // adjustment sum
+    w.u64(0);           // exit events
+    w.u64(ids.size());
+    for (const std::uint64_t id : ids) {
+      w.u64(id);
+      w.u16(1);
+    }
+    return edited;
+  };
+
+  SimWorld target(tiny_config(), SimWorld::Mode::Restore);
+  EXPECT_NO_THROW(target.restore(with_tally({3, 7})));
+  EXPECT_EQ(target.oracle().times_counted(traffic::VehicleId{7}), 1);
+  EXPECT_THROW(target.restore(with_tally({7, 7})), SnapshotError);
+  EXPECT_THROW(target.restore(with_tally({7, 3})), SnapshotError);
+}
+
+// Hostile input over a whole snapshot with all six sections (a patrol
+// fleet included): every section cut short at every length must be
+// rejected, and every byte of the encoding XOR-ed with 0xFF must either
+// restore (the flip hit a value no check can tell from a real one) or be
+// rejected with SnapshotError — never an abort, std::bad_alloc or anything
+// else. The target then still restores the original, and re-saves it to
+// the same bytes.
+TEST(SimWorldSnapshot, EveryTruncationIsRejectedAndEveryByteFlipIsSafe) {
+  experiment::ScenarioConfig config = tiny_config();
+  config.num_patrol = 1;
+  SimWorld source(config);
+  for (int i = 0; i < 100; ++i) source.step();
+  Snapshot snap;
+  source.save(snap);
+  const std::vector<std::uint8_t> bytes = snap.to_bytes();
+  const std::vector<std::string> names = {"engine", "demand", "protocol",
+                                          "oracle", "patrol", "world"};
+  ASSERT_EQ(snap.section_count(), names.size());
+
+  SimWorld target(config, SimWorld::Mode::Restore);
+  std::size_t restored = 0;
+  std::size_t rejected = 0;
+  const auto restore = [&](const Snapshot& corrupt, const std::string& what) {
+    try {
+      target.restore(corrupt);
+      ++restored;
+    } catch (const SnapshotError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": restore threw " << typeid(e).name() << " (" << e.what()
+                    << ") instead of SnapshotError";
+    }
+  };
+
+  for (const std::string& name : names) {
+    const std::vector<std::uint8_t>& payload = snap.section(name);
+    for (std::size_t len = 0; len < payload.size(); ++len) {
+      Snapshot cut = snap;
+      cut.add_section(name).assign(payload.begin(),
+                                   payload.begin() + static_cast<std::ptrdiff_t>(len));
+      restore(cut, name + " cut to " + std::to_string(len) + " bytes");
+    }
+  }
+  EXPECT_EQ(restored, 0u) << "a truncated section restored";
+
+  restored = rejected = 0;
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    std::vector<std::uint8_t> flipped = bytes;
+    flipped[at] ^= 0xFF;
+    try {
+      restore(Snapshot::from_bytes(flipped), "byte " + std::to_string(at) + " flipped");
+    } catch (const SnapshotError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(restored + rejected, bytes.size());
+  EXPECT_GT(restored, 0u);
+  EXPECT_GT(rejected, 0u);
+
+  target.restore(snap);
+  Snapshot again;
+  target.save(again);
+  EXPECT_EQ(again.to_bytes(), bytes);
 }
 
 // ---- traces -----------------------------------------------------------------
