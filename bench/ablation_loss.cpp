@@ -26,6 +26,12 @@ int main(int argc, char** argv) {
   cli.add_int("seed", &seed, "master RNG seed");
   cli.add_flag("smoke", &smoke, "CI smoke mode: tiny map, three loss levels");
   if (!cli.parse(argc, argv)) return 1;
+  // The replica index fills the low 8 bits of each run's seed salt, and zero
+  // replicas would report exactness without running anything.
+  if (replicas < 1 || replicas > experiment::kMaxReplicas) {
+    std::cerr << "error: --replicas must be in 1.." << experiment::kMaxReplicas << "\n";
+    return 1;
+  }
 
   const std::vector<double> losses = smoke
                                          ? std::vector<double>{0.0, 0.3, 0.6}

@@ -1,59 +1,13 @@
-// Microbenchmarks: counting-protocol overhead on top of the traffic engine
-// and the hot checkpoint-state operations.
+// Microbenchmarks: the hot checkpoint-state operations and the channel draw.
 #include <benchmark/benchmark.h>
 
-#include <memory>
-
-#include "counting/protocol.hpp"
+#include "counting/checkpoint.hpp"
 #include "roadnet/manhattan.hpp"
-#include "traffic/demand.hpp"
-#include "traffic/router.hpp"
-#include "traffic/sim_engine.hpp"
 #include "v2x/channel.hpp"
 
 namespace {
 
 using namespace ivc;
-
-void run_steps(bool with_protocol, benchmark::State& state) {
-  roadnet::ManhattanConfig mc;
-  const auto net = roadnet::make_manhattan_grid(mc);
-  traffic::SimConfig sim;
-  sim.seed = 42;
-  traffic::SimEngine engine(net, sim);
-  traffic::Router router(net, 43);
-  traffic::DemandConfig dc;
-  dc.vehicles_at_100pct = 1000;
-  dc.seed = 44;
-  traffic::DemandModel demand(engine, router, dc);
-  engine.set_route_planner([&demand](traffic::VehicleId v, roadnet::NodeId n) {
-    return demand.plan_continuation(v, n);
-  });
-  demand.init_population();
-
-  std::unique_ptr<counting::CountingProtocol> protocol;
-  if (with_protocol) {
-    counting::ProtocolConfig pc;
-    pc.channel_loss = 0.30;
-    protocol = std::make_unique<counting::CountingProtocol>(engine, pc);
-    protocol->designate_seeds(protocol->choose_random_seeds(4));
-    protocol->start();
-  }
-  engine.run_for(util::SimTime::from_seconds(30.0));
-  for (auto _ : state) {
-    engine.step();
-  }
-  if (protocol) {
-    state.counters["count_events"] =
-        static_cast<double>(protocol->stats().count_events);
-  }
-}
-
-void BM_StepWithoutProtocol(benchmark::State& state) { run_steps(false, state); }
-BENCHMARK(BM_StepWithoutProtocol);
-
-void BM_StepWithProtocol(benchmark::State& state) { run_steps(true, state); }
-BENCHMARK(BM_StepWithProtocol);
 
 void BM_CheckpointActivation(benchmark::State& state) {
   const auto net = roadnet::make_manhattan_grid(roadnet::ManhattanConfig{});

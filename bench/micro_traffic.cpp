@@ -1,7 +1,5 @@
-// Microbenchmarks: traffic engine stepping and routing throughput.
+// Microbenchmarks: open-system spawn/despawn churn.
 #include <benchmark/benchmark.h>
-
-#include <memory>
 
 #include "roadnet/manhattan.hpp"
 #include "traffic/demand.hpp"
@@ -11,57 +9,6 @@
 namespace {
 
 using namespace ivc;
-
-struct SimFixture {
-  explicit SimFixture(std::size_t vehicles) {
-    roadnet::ManhattanConfig mc;
-    net = roadnet::make_manhattan_grid(mc);
-    traffic::SimConfig sim;
-    sim.seed = 42;
-    engine = std::make_unique<traffic::SimEngine>(net, sim);
-    router = std::make_unique<traffic::Router>(net, 43);
-    traffic::DemandConfig dc;
-    dc.vehicles_at_100pct = vehicles;
-    dc.seed = 44;
-    demand = std::make_unique<traffic::DemandModel>(*engine, *router, dc);
-    engine->set_route_planner([this](traffic::VehicleId v, roadnet::NodeId n) {
-      return demand->plan_continuation(v, n);
-    });
-    demand->init_population();
-    // Warm up so the measurement sees steady-state traffic.
-    engine->run_for(util::SimTime::from_seconds(60.0));
-  }
-  roadnet::RoadNetwork net;
-  std::unique_ptr<traffic::SimEngine> engine;
-  std::unique_ptr<traffic::Router> router;
-  std::unique_ptr<traffic::DemandModel> demand;
-};
-
-void BM_EngineStep(benchmark::State& state) {
-  SimFixture fixture(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    fixture.engine->step();
-  }
-  state.counters["veh"] = static_cast<double>(fixture.engine->alive_count());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));  // vehicle-steps
-}
-BENCHMARK(BM_EngineStep)->Arg(200)->Arg(500)->Arg(1000)->Arg(2000);
-
-void BM_RouterPlan(benchmark::State& state) {
-  roadnet::ManhattanConfig mc;
-  const auto net = roadnet::make_manhattan_grid(mc);
-  traffic::Router router(net, 7);
-  util::Rng rng(8);
-  for (auto _ : state) {
-    const roadnet::NodeId from{
-        static_cast<std::uint32_t>(rng.uniform_index(net.num_intersections()))};
-    const roadnet::NodeId to = router.random_destination(from);
-    auto path = router.plan(from, to);
-    benchmark::DoNotOptimize(path.data());
-  }
-}
-BENCHMARK(BM_RouterPlan);
 
 void BM_SpawnDespawnChurn(benchmark::State& state) {
   // Open-system arrival/departure churn: measures the per-spawn cost.

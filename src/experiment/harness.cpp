@@ -17,12 +17,25 @@ void add_harness_options(util::Cli& cli, HarnessOptions* out) {
               "per-run sim-time limit (minutes, 0 = scenario default)");
 }
 
+bool check_harness_options(const HarnessOptions& opts) {
+  if (opts.replicas < 1 || opts.replicas > kMaxReplicas) {
+    std::cerr << "error: --replicas must be in 1.." << kMaxReplicas << "\n";
+    return false;
+  }
+  if (opts.threads < 0 || opts.threads > kMaxThreads) {
+    std::cerr << "error: --threads must be in 0.." << kMaxThreads << "\n";
+    return false;
+  }
+  return true;
+}
+
 std::optional<int> parse_harness_options(int argc, const char* const* argv,
                                          const std::string& name, const std::string& what,
                                          HarnessOptions* out) {
   util::Cli cli(name, what);
   add_harness_options(cli, out);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
+  if (!check_harness_options(*out)) return 1;
   return std::nullopt;
 }
 

@@ -36,9 +36,20 @@ struct HarnessOptions {
 // their own options on top).
 void add_harness_options(util::Cli& cli, HarnessOptions* out);
 
+// Upper bounds of the harness CLIs' counts: run_sweep's replica index fills
+// the low 8 bits of each job's seed salt, and the pool starts one worker per
+// thread asked for.
+inline constexpr std::int64_t kMaxReplicas = 256;
+inline constexpr std::int64_t kMaxThreads = 256;
+
+// Rejects, before any sweep starts, --replicas outside 1..kMaxReplicas and
+// --threads outside 0..kMaxThreads. Prints `error: --<flag> ...` and returns
+// false on a bad value.
+[[nodiscard]] bool check_harness_options(const HarnessOptions& opts);
+
 // One-call parse for harnesses with no extra options. Returns the process
-// exit code to use (0 for --help, 1 for a parse error) or nullopt when
-// parsing succeeded and the harness should proceed.
+// exit code to use (0 for --help, 1 for a parse error or an out-of-range
+// count) or nullopt when parsing succeeded and the harness should proceed.
 [[nodiscard]] std::optional<int> parse_harness_options(int argc, const char* const* argv,
                                                        const std::string& name,
                                                        const std::string& what,

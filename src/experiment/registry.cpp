@@ -184,9 +184,9 @@ ScenarioConfig roundabout_town_lossless(ScenarioScale s) {
 // counting: Aljamal et al., arXiv:2001.01119; measurement-location
 // diversification: Inoue et al., arXiv:2606.07556). A few hundred vehicles
 // occupy a map with thousands of lanes, so per-step engine cost must track
-// occupancy, not map size — these scenarios are the perf regression guard
-// for the engine's occupied-lane worklist (`ivc_bench --perf`,
-// BENCH_pr3.json).
+// occupancy, not map size — `metro-grid-sparse` is the repo benchmark's
+// sparse-served workload, the perf regression guard for the engine's
+// occupied-lane worklist.
 
 ScenarioConfig metro_grid_sparse(ScenarioScale s) {
   ScenarioConfig c;

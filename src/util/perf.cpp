@@ -3,21 +3,9 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #include <sys/utsname.h>
-#include <time.h>
 #endif
 
 namespace ivc::util {
-
-std::uint64_t ThreadCpuProbe::now_nanos() {
-#if (defined(__unix__) || defined(__APPLE__)) && defined(CLOCK_THREAD_CPUTIME_ID)
-  timespec ts{};
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ULL +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-#else
-  return 0;
-#endif
-}
 
 const char* perf_phase_name(PerfPhase phase) {
   switch (phase) {

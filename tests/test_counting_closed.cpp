@@ -97,6 +97,8 @@ struct LossyCase {
   std::uint64_t rng;
 };
 
+void PrintTo(const LossyCase& c, std::ostream* os) { *os << c.name; }
+
 class LossyClosedTest : public ::testing::TestWithParam<LossyCase> {};
 
 TEST_P(LossyClosedTest, TotalExactUnderLossAndOvertakes) {
