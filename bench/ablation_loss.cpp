@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   cli.add_int("replicas", &replicas, "replicas per loss level");
   cli.add_int("seed", &seed, "master RNG seed");
   cli.add_flag("smoke", &smoke, "CI smoke mode: tiny map, three loss levels");
-  if (!cli.parse(argc, argv)) return 1;
+  if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
   // The replica index fills the low 8 bits of each run's seed salt, and zero
   // replicas would report exactness without running anything.
   if (replicas < 1 || replicas > experiment::kMaxReplicas) {

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   util::Cli cli("ablation_patrol", "patrol fleet size vs orphan rescue time");
   cli.add_int("seed", &seed, "RNG seed");
   cli.add_flag("smoke", &smoke, "CI smoke mode: two fleet sizes only");
-  if (!cli.parse(argc, argv)) return 1;
+  if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
   util::TextTable table({"patrol cars", "converged", "stabilized(min)", "exact"});
   const std::vector<std::size_t> fleets =

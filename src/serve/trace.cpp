@@ -18,10 +18,6 @@ namespace {
 constexpr std::uint32_t kTraceMagic = 0x54435649u;
 // Version 2 dropped the engine thread override from the source block.
 constexpr std::uint32_t kTraceVersion = 2;
-// Encoded sizes: one StepRecord (five u64) and the final digest (two i64,
-// three booleans).
-constexpr std::uint64_t kRecordBytes = 40;
-constexpr std::uint64_t kDigestBytes = 19;
 
 struct StepRecord {
   std::uint64_t step = 0;
@@ -31,25 +27,39 @@ struct StepRecord {
   std::uint64_t hash = 0;
 };
 
-void write_source(ByteWriter& w, const TraceSource& source) {
-  w.u8(static_cast<std::uint8_t>(source.kind));
-  w.str(source.name);
-  w.u8(static_cast<std::uint8_t>(source.scale));
-  w.u64(source.case_seed);
-}
+// The run-level verdicts a replay must also reproduce.
+struct Digest {
+  std::int64_t protocol_total = 0;
+  std::int64_t truth = 0;
+  bool total_exact = false;
+  bool exactly_once = false;
+  bool quiescent = false;
+};
 
-TraceSource read_source(ByteReader& r) {
-  TraceSource source;
-  const std::uint8_t kind = r.u8();
-  if (kind > 1) throw SnapshotError("trace has an unknown source kind");
-  source.kind = static_cast<TraceSource::Kind>(kind);
-  source.name = r.str();
-  const std::uint8_t scale = r.u8();
-  if (scale > 1) throw SnapshotError("trace has an unknown scenario scale");
-  source.scale = static_cast<experiment::ScenarioScale>(scale);
-  source.case_seed = r.u64();
-  return source;
-}
+// The field lists of a trace: the run it records, one record per step and
+// the final digest.
+constexpr auto visit_source = [](auto& ar, auto& source) {
+  ar.enumeration(source.kind, TraceSource::Kind::FuzzCase);
+  ar.field(source.name);
+  ar.enumeration(source.scale, experiment::ScenarioScale::Smoke);
+  ar.field(source.case_seed);
+};
+
+constexpr auto visit_record = [](auto& ar, auto& rec) {
+  ar.field(rec.step);
+  ar.field(rec.total_spawned);
+  ar.field(rec.events_emitted);
+  ar.field(rec.alive);
+  ar.field(rec.hash);
+};
+
+constexpr auto visit_digest = [](auto& ar, auto& digest) {
+  ar.field(digest.protocol_total);
+  ar.field(digest.truth);
+  ar.field(digest.total_exact);
+  ar.field(digest.exactly_once);
+  ar.field(digest.quiescent);
+};
 
 // Rebuild the traced scenario's configuration. Both source kinds are pure
 // functions of their key, so this yields the recorded run's exact config.
@@ -76,24 +86,6 @@ StepRecord observe(const SimWorld& world, const testing::EventStreamHasher& hash
   rec.events_emitted = world.engine().events_emitted();
   rec.alive = world.engine().alive_count();
   rec.hash = hasher.hash();
-  return rec;
-}
-
-void write_record(ByteWriter& w, const StepRecord& rec) {
-  w.u64(rec.step);
-  w.u64(rec.total_spawned);
-  w.u64(rec.events_emitted);
-  w.u64(rec.alive);
-  w.u64(rec.hash);
-}
-
-StepRecord read_record(ByteReader& r) {
-  StepRecord rec;
-  rec.step = r.u64();
-  rec.total_spawned = r.u64();
-  rec.events_emitted = r.u64();
-  rec.alive = r.u64();
-  rec.hash = r.u64();
   return rec;
 }
 
@@ -161,44 +153,55 @@ std::vector<std::uint8_t> record_trace(const TraceSource& source) {
     records.push_back(observe(world, hasher));
   }
   const experiment::RunMetrics metrics = world.finish();
+  const Digest digest{metrics.protocol_total, metrics.truth, metrics.total_exact,
+                      metrics.exactly_once, metrics.quiescent};
 
   std::vector<std::uint8_t> bytes;
-  ByteWriter w(bytes);
-  w.u32(kTraceMagic);
-  w.u32(kTraceVersion);
-  w.u32(Snapshot::kEndianMark);
-  write_source(w, source);
-  w.u64(records.size());
-  for (const StepRecord& rec : records) write_record(w, rec);
-  // Final digest: the run-level verdicts a replay must also reproduce.
-  w.i64(metrics.protocol_total);
-  w.i64(metrics.truth);
-  w.boolean(metrics.total_exact);
-  w.boolean(metrics.exactly_once);
-  w.boolean(metrics.quiescent);
+  Writer::write(bytes, [&](auto& ar) {
+    ar.echo(kTraceMagic, "trace magic");
+    ar.echo(kTraceVersion, "trace version");
+    ar.echo(Snapshot::kEndianMark, "trace endianness mark");
+    visit_source(ar, source);
+    ar.sequence(records, visit_record);
+    visit_digest(ar, digest);
+  });
   return bytes;
 }
 
 ReplayReport replay_trace(const std::vector<std::uint8_t>& bytes) {
-  ByteReader r(bytes);
-  if (r.u32() != kTraceMagic) throw SnapshotError("not an IVC trace (bad magic)");
-  const std::uint32_t version = r.u32();
+  // Traces hold no segment or intersection ids.
+  Reader r(bytes, 0, 0);
+  std::uint32_t magic = 0;
+  std::uint32_t version = 0;
+  std::uint32_t endian = 0;
+  r.field(magic);
+  if (magic != kTraceMagic) throw SnapshotError("not an IVC trace (bad magic)");
+  r.field(version);
   if (version != kTraceVersion) {
     throw SnapshotError(util::format(
         "trace format version %u is not the supported version %u; re-record the trace "
         "with this build",
         version, kTraceVersion));
   }
-  if (r.u32() != Snapshot::kEndianMark) {
+  r.field(endian);
+  if (endian != Snapshot::kEndianMark) {
     throw SnapshotError("trace endianness mark is corrupt");
   }
-  const TraceSource source = read_source(r);
-  const std::uint64_t record_count = r.u64();
+  TraceSource source;
+  visit_source(r, source);
+  std::uint64_t record_count = 0;
+  r.field(record_count);
   // The records and the final digest are fixed-size, so the count must
   // account for every byte left; checked here, before a world is built.
+  const StepRecord no_record;
+  const Digest no_digest;
+  Sizer record_size;
+  Sizer digest_size;
+  visit_record(record_size, no_record);
+  visit_digest(digest_size, no_digest);
   const std::uint64_t left = r.remaining();
-  if (left < kDigestBytes || (left - kDigestBytes) % kRecordBytes != 0 ||
-      (left - kDigestBytes) / kRecordBytes != record_count) {
+  if (left < digest_size.size() || (left - digest_size.size()) % record_size.size() != 0 ||
+      (left - digest_size.size()) / record_size.size() != record_count) {
     throw SnapshotError(util::format(
         "trace record count %llu does not match the %llu bytes that follow it",
         static_cast<unsigned long long>(record_count), static_cast<unsigned long long>(left)));
@@ -213,7 +216,8 @@ ReplayReport replay_trace(const std::vector<std::uint8_t>& bytes) {
 
   ReplayReport report;
   for (std::uint64_t i = 0; i < record_count; ++i) {
-    const StepRecord recorded = read_record(r);
+    StepRecord recorded;
+    visit_record(r, recorded);
     if (world.done()) {
       report.detail = util::format(
           "replay converged after %llu steps but the trace has %llu records",
@@ -240,28 +244,25 @@ ReplayReport replay_trace(const std::vector<std::uint8_t>& bytes) {
   }
   const experiment::RunMetrics metrics = world.finish();
 
-  const std::int64_t want_total = r.i64();
-  const std::int64_t want_truth = r.i64();
-  const bool want_exact = r.boolean();
-  const bool want_once = r.boolean();
-  const bool want_quiescent = r.boolean();
+  Digest want;
+  visit_digest(r, want);
   r.expect_end("trace");
 
   report.final_hash = hasher.hash();
-  if (metrics.protocol_total != want_total) {
+  if (metrics.protocol_total != want.protocol_total) {
     report.detail = util::format("final protocol_total recorded=%lld replayed=%lld",
-                                 static_cast<long long>(want_total),
+                                 static_cast<long long>(want.protocol_total),
                                  static_cast<long long>(metrics.protocol_total));
-  } else if (metrics.truth != want_truth) {
+  } else if (metrics.truth != want.truth) {
     report.detail =
         util::format("final truth recorded=%lld replayed=%lld",
-                     static_cast<long long>(want_truth), static_cast<long long>(metrics.truth));
-  } else if (metrics.total_exact != want_exact || metrics.exactly_once != want_once ||
-             metrics.quiescent != want_quiescent) {
+                     static_cast<long long>(want.truth), static_cast<long long>(metrics.truth));
+  } else if (metrics.total_exact != want.total_exact ||
+             metrics.exactly_once != want.exactly_once || metrics.quiescent != want.quiescent) {
     report.detail = util::format(
         "final verdicts recorded=(exact=%d once=%d quiescent=%d) "
         "replayed=(exact=%d once=%d quiescent=%d)",
-        want_exact ? 1 : 0, want_once ? 1 : 0, want_quiescent ? 1 : 0,
+        want.total_exact ? 1 : 0, want.exactly_once ? 1 : 0, want.quiescent ? 1 : 0,
         metrics.total_exact ? 1 : 0, metrics.exactly_once ? 1 : 0,
         metrics.quiescent ? 1 : 0);
   } else {

@@ -151,40 +151,8 @@ experiment::RunMetrics SimWorld::finish() {
   return metrics;
 }
 
-void SimWorld::save(Snapshot& snap) const {
-  engine_->save(snap);
-  SnapshotAccess::save(*demand_, snap);
-  SnapshotAccess::save(*protocol_, snap);
-  SnapshotAccess::save(*oracle_, snap);
-  if (patrol_) SnapshotAccess::save(*patrol_, snap);
+void SimWorld::save(Snapshot& snap) const { SnapshotAccess::save(*this, snap); }
 
-  ByteWriter w(snap.add_section("world"));
-  w.u64(population_);
-  w.boolean(saw_all_active_);
-  w.f64(time_all_active_min_);
-  w.boolean(converged_);
-}
-
-void SimWorld::restore(const Snapshot& snap) {
-  engine_->restore(snap);
-  SnapshotAccess::restore(*demand_, snap);
-  SnapshotAccess::restore(*protocol_, snap);
-  SnapshotAccess::restore(*oracle_, snap);
-  if (patrol_) {
-    if (!snap.has_section("patrol")) {
-      throw SnapshotError("world has a patrol fleet but the snapshot has none");
-    }
-    SnapshotAccess::restore(*patrol_, snap);
-  } else if (snap.has_section("patrol")) {
-    throw SnapshotError("snapshot has a patrol fleet but the world has none");
-  }
-
-  ByteReader r(snap.section("world"));
-  population_ = r.u64();
-  saw_all_active_ = r.boolean();
-  time_all_active_min_ = r.f64();
-  converged_ = r.boolean();
-  r.expect_end("world");
-}
+void SimWorld::restore(const Snapshot& snap) { SnapshotAccess::restore(*this, snap); }
 
 }  // namespace ivc::serve

@@ -69,6 +69,10 @@ class SimWorld {
   [[nodiscard]] const experiment::ScenarioConfig& config() const { return config_; }
 
  private:
+  // The world's own field list and the order of its sections
+  // (src/serve/snapshot.cpp).
+  friend struct SnapshotAccess;
+
   experiment::ScenarioConfig config_;
   experiment::RunHooks hooks_;
   std::uint64_t wall_start_nanos_ = 0;

@@ -146,12 +146,16 @@ class SimEngine {
   // ---- snapshot / restore ---------------------------------------------------
   // Writes the complete engine state (store, free list, lane membership,
   // RNG, counters) into the snapshot's "engine" section. Legal only
-  // between steps; throws serve::SnapshotError otherwise. Defined in
-  // src/serve/snapshot.cpp next to the component serializers.
+  // between steps; throws serve::SnapshotError otherwise. Both are defined
+  // in src/serve/snapshot.cpp, next to the engine's field list
+  // (serve::SnapshotAccess::visit).
   void save(serve::Snapshot& snap) const;
   // Restores into an engine built over the SAME network and SimConfig
-  // (validated; serve::SnapshotError on mismatch). Restore-then-continue
-  // emits the same event stream as the uninterrupted run, bit for bit.
+  // (validated; serve::SnapshotError on mismatch), then checks what the
+  // field list cannot: every listed vehicle id is live, every lane holds
+  // exactly the vehicles on it, and each live vehicle's remaining route
+  // connects and its speed factor is positive. Restore-then-continue emits
+  // the same event stream as the uninterrupted run, bit for bit.
   void restore(const serve::Snapshot& snap);
 
   [[nodiscard]] util::SimTime now() const { return now_; }
@@ -213,6 +217,9 @@ class SimEngine {
   [[nodiscard]] std::uint64_t draw_for(VehicleId id);
 
  protected:
+  // The engine's field list (src/serve/snapshot.cpp).
+  friend struct serve::SnapshotAccess;
+
   struct LaneRef {
     roadnet::EdgeId edge;
     int lane;

@@ -1,23 +1,30 @@
 // Serve-layer snapshot/restore + trace replay.
 //
 // Codec-level tests pin the byte format (explicit little-endian, doubles
-// as bit patterns, length-prefixed strings, loud truncation); container
-// tests pin the versioned envelope (bad magic / version skew / trailing
-// garbage are rejected with SnapshotError, never silently accepted);
-// world-level tests pin the contract: save is only legal between steps,
-// restore refuses a snapshot from a different world, and restore-then-
-// continue reproduces the uninterrupted run's digest bit for bit (the
-// full 120-seed sweep lives in test_differential_fuzz.cpp).
+// as bit patterns, length-prefixed strings, loud truncation); archive
+// tests pin the ops every field list is written in (each round-trips, the
+// Reader rejects what no save writes, and a visit whose Sizer and Writer
+// passes disagree aborts); container tests pin the versioned envelope
+// (bad magic / version skew / trailing garbage are rejected with
+// SnapshotError, never silently accepted); world-level tests pin the
+// contract: save is only legal between steps, restore refuses a snapshot
+// from a different world, and restore-then-continue reproduces the
+// uninterrupted run's digest bit for bit (the full 120-seed sweep lives
+// in test_differential_fuzz.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <typeinfo>
 #include <vector>
 
+#include "counting/checkpoint.hpp"
 #include "experiment/registry.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/trace.hpp"
@@ -146,6 +153,238 @@ TEST(SnapshotCodec, TruncationAndTrailingBytesAreLoud) {
   ByteReader trailing(bytes);
   (void)trailing.u16();
   EXPECT_THROW(trailing.expect_end("codec"), SnapshotError);  // 2 bytes left
+}
+
+// ---- archives ---------------------------------------------------------------
+
+// One value for every op a field list may use.
+struct EveryOp {
+  std::uint8_t u8 = 0;
+  std::uint16_t u16 = 0;
+  std::uint32_t u32 = 0;
+  std::uint64_t u64 = 0;
+  std::int32_t i32 = 0;
+  std::int64_t i64 = 0;
+  double f64 = 0.0;
+  bool flag = false;
+  std::string name;
+  util::SimTime time;
+  traffic::VehicleId vehicle;
+  roadnet::EdgeId edge;
+  roadnet::NodeId node;
+  roadnet::NodeId no_parent;
+  util::Rng rng{7};
+  v2x::Message ack;
+  v2x::Message report;
+  counting::DirectionState state = counting::DirectionState::Idle;
+  std::vector<roadnet::EdgeId> route;
+  std::optional<v2x::Label> label;
+  std::optional<v2x::Label> no_label;
+  std::map<std::uint32_t, std::int64_t> reports;
+};
+
+template <class Ar, class T>
+void visit_every_op(Ar& ar, T& v) {
+  ar.field(v.u8);
+  ar.field(v.u16);
+  ar.field(v.u32);
+  ar.field(v.u64);
+  ar.field(v.i32);
+  ar.field(v.i64);
+  ar.field(v.f64);
+  ar.field(v.flag);
+  ar.field(v.name);
+  ar.field(v.time);
+  ar.field(v.vehicle);
+  ar.field(v.edge);
+  ar.field(v.node);
+  ar.field_or_invalid(v.no_parent);
+  ar.field(v.rng);
+  ar.field(v.ack);
+  ar.field(v.report);
+  ar.enumeration(v.state, counting::DirectionState::Excluded);
+  ar.echo(std::uint64_t{42}, "answer");
+  ar.sequence(v.route);
+  ar.optional(v.label);
+  ar.optional(v.no_label);
+  ar.map(v.reports);
+}
+
+// Bounds of the world every Reader below decodes ids against.
+constexpr std::size_t kNodes = 4;
+constexpr std::size_t kSegments = 6;
+
+template <class Visit>
+std::vector<std::uint8_t> encode(const Visit& visit) {
+  std::vector<std::uint8_t> bytes;
+  Writer::write(bytes, visit);
+  return bytes;
+}
+
+TEST(SnapshotArchive, EveryOpRoundTrips) {
+  EveryOp saved;
+  saved.u8 = 0xab;
+  saved.u16 = 0xbeef;
+  saved.u32 = 0xdeadbeefu;
+  saved.u64 = 0x0123456789abcdefULL;
+  saved.i32 = -123456789;
+  saved.i64 = std::numeric_limits<std::int64_t>::min();
+  saved.f64 = -2.5;
+  saved.flag = true;
+  saved.name = std::string("with\0null", 9);
+  saved.time = util::SimTime::from_millis(-1234);
+  saved.vehicle = traffic::VehicleId{17, 3};
+  saved.edge = roadnet::EdgeId{5};
+  saved.node = roadnet::NodeId{3};
+  (void)saved.rng.normal(0.0, 1.0);  // leaves a spare normal in the state
+  saved.ack = {roadnet::NodeId{1}, roadnet::NodeId{2}, v2x::TreeAck{roadnet::NodeId{1}, true},
+               util::SimTime::from_millis(500), 3};
+  saved.report = {roadnet::NodeId{2}, roadnet::NodeId{0},
+                  v2x::CountReport{roadnet::NodeId{2}, -7}, util::SimTime::from_millis(900), 1};
+  saved.state = counting::DirectionState::Stopped;
+  saved.route = {roadnet::EdgeId{0}, roadnet::EdgeId{4}};
+  saved.label = v2x::Label{roadnet::NodeId{1}, roadnet::EdgeId{2}, util::SimTime::from_millis(40)};
+  saved.reports = {{1, -3}, {3, 9}};
+
+  const std::vector<std::uint8_t> bytes =
+      encode([&](auto& ar) { visit_every_op(ar, std::as_const(saved)); });
+  Sizer sizer;
+  visit_every_op(sizer, std::as_const(saved));
+  EXPECT_EQ(bytes.size(), sizer.size());
+  // The eight scalars (36 B), a 9-byte string, time, vehicle, two ids and
+  // an invalid one, the rng (41), a tree ack (26) and a report (33), the
+  // enum byte, the echo, a two-edge route, a label, an absent one and a
+  // two-entry map.
+  EXPECT_EQ(bytes.size(), 36u + (4 + 9) + 8 + 8 + 3 * 4 + 41 + 26 + 33 + 1 + 8 + (8 + 2 * 4) +
+                              (1 + 16) + 1 + (8 + 2 * 12));
+
+  EveryOp loaded;
+  loaded.no_label = v2x::Label{};  // overwritten: absent in the bytes
+  Reader r(bytes, kNodes, kSegments);
+  visit_every_op(r, loaded);
+  EXPECT_NO_THROW(r.expect_end("every op"));
+  EXPECT_EQ(loaded.u8, saved.u8);
+  EXPECT_EQ(loaded.u16, saved.u16);
+  EXPECT_EQ(loaded.u32, saved.u32);
+  EXPECT_EQ(loaded.u64, saved.u64);
+  EXPECT_EQ(loaded.i32, saved.i32);
+  EXPECT_EQ(loaded.i64, saved.i64);
+  EXPECT_EQ(loaded.f64, saved.f64);
+  EXPECT_EQ(loaded.flag, saved.flag);
+  EXPECT_EQ(loaded.name, saved.name);
+  EXPECT_EQ(loaded.time, saved.time);
+  EXPECT_EQ(loaded.vehicle, saved.vehicle);
+  EXPECT_EQ(loaded.edge, saved.edge);
+  EXPECT_EQ(loaded.node, saved.node);
+  EXPECT_FALSE(loaded.no_parent.valid());
+  EXPECT_EQ(loaded.rng.normal(0.0, 1.0), saved.rng.normal(0.0, 1.0));
+  EXPECT_EQ(loaded.rng.next(), saved.rng.next());
+  ASSERT_TRUE(std::holds_alternative<v2x::TreeAck>(loaded.ack.payload));
+  EXPECT_EQ(std::get<v2x::TreeAck>(loaded.ack.payload).from, roadnet::NodeId{1});
+  EXPECT_TRUE(std::get<v2x::TreeAck>(loaded.ack.payload).is_child);
+  EXPECT_EQ(loaded.ack.destination, roadnet::NodeId{2});
+  EXPECT_EQ(loaded.ack.hops, 3);
+  ASSERT_TRUE(std::holds_alternative<v2x::CountReport>(loaded.report.payload));
+  EXPECT_EQ(std::get<v2x::CountReport>(loaded.report.payload).subtree_total, -7);
+  EXPECT_EQ(loaded.report.created_at, util::SimTime::from_millis(900));
+  EXPECT_EQ(loaded.state, counting::DirectionState::Stopped);
+  EXPECT_EQ(loaded.route, saved.route);
+  ASSERT_TRUE(loaded.label.has_value());
+  EXPECT_EQ(loaded.label->edge, roadnet::EdgeId{2});
+  EXPECT_EQ(loaded.label->issued_at, util::SimTime::from_millis(40));
+  EXPECT_FALSE(loaded.no_label.has_value());
+  EXPECT_EQ(loaded.reports, saved.reports);
+}
+
+// Values no save writes: each is rejected by the op that decodes it.
+TEST(SnapshotArchive, ReaderRejectsWhatNoSaveWrites) {
+  const auto rejects = [](const auto& write, const auto& read) {
+    const std::vector<std::uint8_t> bytes = encode(write);
+    Reader r(bytes, kNodes, kSegments);
+    EXPECT_THROW(read(r), SnapshotError);
+  };
+  const auto u32 = [](std::uint32_t v) { return [v](auto& ar) { ar.field(v); }; };
+  const auto u8 = [](std::uint8_t v) { return [v](auto& ar) { ar.field(v); }; };
+  roadnet::EdgeId edge;
+  roadnet::NodeId node;
+  rejects(u32(kSegments), [&](Reader& r) { r.field(edge); });
+  rejects(u32(kNodes), [&](Reader& r) { r.field(node); });
+  rejects(u32(roadnet::NodeId::kInvalid), [&](Reader& r) { r.field(node); });
+  rejects(u32(kSegments), [&](Reader& r) { r.field_or_invalid(edge); });
+  bool flag = false;
+  rejects(u8(2), [&](Reader& r) { r.field(flag); });
+  counting::LabelOutcome outcome{};
+  rejects(u8(4), [&](Reader& r) { r.enumeration(outcome, counting::LabelOutcome::NotChild); });
+  v2x::Message msg;
+  rejects([](auto& ar) {
+            const std::uint32_t source = 0;
+            const std::uint32_t destination = 1;
+            const std::uint8_t kind = 2;
+            ar.field(source);
+            ar.field(destination);
+            ar.field(kind);
+          },
+          [&](Reader& r) { r.field(msg); });
+  std::vector<roadnet::EdgeId> route;
+  rejects([](auto& ar) {
+            const std::uint64_t huge = std::uint64_t{1} << 40;
+            ar.field(huge);
+          },
+          [&](Reader& r) { r.sequence(route); });
+
+  const std::vector<std::uint8_t> seven = encode([](auto& ar) { ar.echo(std::uint64_t{7}, "x"); });
+  Reader r(seven, kNodes, kSegments);
+  try {
+    r.echo(std::uint64_t{8}, "lane count");
+    FAIL() << "a differing echo was accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_STREQ(e.what(), "snapshot incompatible with this world: lane count differs");
+  }
+
+  // The invalid id decodes where a field may hold it.
+  const std::vector<std::uint8_t> invalid = encode(u32(roadnet::NodeId::kInvalid));
+  Reader parent(invalid, kNodes, kSegments);
+  node = roadnet::NodeId{1};
+  parent.field_or_invalid(node);
+  EXPECT_FALSE(node.valid());
+}
+
+// A map decodes only from strictly increasing keys: a repeated key would
+// silently replace the earlier entry, and any other order would re-save to
+// different bytes.
+TEST(SnapshotArchive, MapKeysMustStrictlyIncrease) {
+  const auto entries = [](std::initializer_list<std::uint32_t> keys) {
+    std::vector<std::uint8_t> bytes;
+    ByteWriter w(bytes);
+    w.u64(keys.size());
+    for (const std::uint32_t key : keys) {
+      w.u32(key);
+      w.i64(-static_cast<std::int64_t>(key));
+    }
+    return bytes;
+  };
+  std::map<std::uint32_t, std::int64_t> reports;
+  const std::vector<std::uint8_t> increasing = entries({2, 5, 9});
+  Reader(increasing, kNodes, kSegments).map(reports);
+  EXPECT_EQ(reports, (std::map<std::uint32_t, std::int64_t>{{2, -2}, {5, -5}, {9, -9}}));
+  const std::vector<std::uint8_t> repeated = entries({2, 5, 5});
+  EXPECT_THROW(Reader(repeated, kNodes, kSegments).map(reports), SnapshotError);
+  const std::vector<std::uint8_t> decreasing = entries({5, 2});
+  EXPECT_THROW(Reader(decreasing, kNodes, kSegments).map(reports), SnapshotError);
+}
+
+// The Writer fills exactly the bytes its Sizer pass counted: a visit that
+// writes a field the Sizer did not count, or skips one it did, aborts.
+TEST(SnapshotArchiveDeath, SizerAndWriterMustAgree) {
+  const auto writes_only_when = [](bool sizing) {
+    return [sizing](auto& ar) {
+      const std::uint32_t v = 1;
+      ar.field(v);
+      if (std::is_same_v<std::decay_t<decltype(ar)>, Sizer> == sizing) ar.field(v);
+    };
+  };
+  EXPECT_DEATH((void)encode(writes_only_when(false)), "snapshot record overrun");
+  EXPECT_DEATH((void)encode(writes_only_when(true)), "snapshot record left bytes unwritten");
 }
 
 // ---- versioned container ----------------------------------------------------
@@ -395,6 +634,30 @@ TEST(SimWorldSnapshot, OracleTallyIdsMustStrictlyIncrease) {
   EXPECT_EQ(target.oracle().times_counted(traffic::VehicleId{7}), 1);
   EXPECT_THROW(target.restore(with_tally({7, 7})), SnapshotError);
   EXPECT_THROW(target.restore(with_tally({7, 3})), SnapshotError);
+}
+
+// Each step spends whole arrivals from the demand model's budget, so a
+// restored budget past 1 would make the next step loop until it is spent:
+// 1e300 minus 1 is 1e300 again, so that step never returned.
+TEST(SimWorldSnapshot, ArrivalBudgetOutsideItsRangeIsRejected) {
+  SimWorld source(open_smoke_config());
+  for (int i = 0; i < 200; ++i) source.step();
+  Snapshot snap;
+  source.save(snap);
+  const std::vector<std::uint8_t> demand = snap.section("demand");
+  // The budget follows two config echoes (u64, f64) and the rng state.
+  const std::size_t at = 8 + 8 + 41;
+  SimWorld target(open_smoke_config(), SimWorld::Mode::Restore);
+  for (const double budget : {1e300, 1.0, -0.5}) {
+    Snapshot edited = snap;
+    std::vector<std::uint8_t>& bytes = edited.add_section("demand");
+    bytes.assign(demand.begin(), demand.begin() + static_cast<std::ptrdiff_t>(at));
+    ByteWriter w(bytes);
+    w.f64(budget);
+    bytes.insert(bytes.end(), demand.begin() + static_cast<std::ptrdiff_t>(at + 8), demand.end());
+    EXPECT_THROW(target.restore(edited), SnapshotError) << "budget " << budget;
+  }
+  EXPECT_NO_THROW(target.restore(snap));
 }
 
 // Hostile input over a whole snapshot with all six sections (a patrol
