@@ -295,6 +295,17 @@ void CountingProtocol::maybe_send_report(Checkpoint& cp, util::SimTime now) {
   }
 }
 
+void CountingProtocol::on_despawn(const traffic::DespawnEvent& event) {
+  if (!started_) return;
+  const v2x::ObuState* obu = obus_.find(event.vehicle);
+  if (obu == nullptr) return;
+  // Markers are only issued on interior edges and consumed at their far
+  // intersection, and cargo is deposited at every transit — a despawning
+  // vehicle (end of an outbound gateway) can hold neither.
+  IVC_ASSERT_MSG(!obu->has_label(), "marker lost to a despawn");
+  IVC_ASSERT_MSG(obu->cargo.empty(), "cargo lost to a despawn");
+}
+
 // Overtake accounting (Alg. 3 lines 5-8), arrival-order formulation.
 //
 // The paper's cooperative V2V detection only needs to *confirm* an overtake
@@ -309,22 +320,6 @@ void CountingProtocol::maybe_send_report(Checkpoint& cp, util::SimTime now) {
 //     it will arrive after the stop and would otherwise be missed. It is
 //     marked counted so open-system exit accounting stays consistent.
 // Both settle at intersections, where the paper's exchanges happen anyway.
-
-void CountingProtocol::on_overtake(const traffic::OvertakeEvent& /*event*/) {
-  // Mid-edge order flips are informational only (see note above); the
-  // tally settles from arrival order in on_transit.
-}
-
-void CountingProtocol::on_despawn(const traffic::DespawnEvent& event) {
-  if (!started_) return;
-  const v2x::ObuState* obu = obus_.find(event.vehicle);
-  if (obu == nullptr) return;
-  // Markers are only issued on interior edges and consumed at their far
-  // intersection, and cargo is deposited at every transit — a despawning
-  // vehicle (end of an outbound gateway) can hold neither.
-  IVC_ASSERT_MSG(!obu->has_label(), "marker lost to a despawn");
-  IVC_ASSERT_MSG(obu->cargo.empty(), "cargo lost to a despawn");
-}
 
 void CountingProtocol::on_transit(const traffic::TransitEvent& event) {
   if (!started_) return;
@@ -362,7 +357,7 @@ void CountingProtocol::on_transit(const traffic::TransitEvent& event) {
 
   // (B0) Overtake accounting, minus side: this vehicle entered the edge
   // after its marker but is arriving first — it finally overtook the
-  // marker (Alg. 3 line 8 generalized; see comment at on_overtake).
+  // marker (Alg. 3 line 8 generalized; see the note above).
   const bool had_label = obu.has_label();
   if (config_.overtake_adjustment && !had_label && !is_patrol && matches &&
       !from_seg.is_gateway()) {

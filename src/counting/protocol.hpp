@@ -12,12 +12,12 @@
 //                 (E) marker handoff to the departing vehicle (Alg. 1 ph. 2,
 //                 lossy with -1 compensation per Alg. 3), (F) message pickup
 //                 for the store-carry-forward transport (Alg. 2/4).
-//   on_overtake — cooperative V2V relative-position reports involving a
-//                 marker carrier; accumulates the ±1 tally applied at the
-//                 carrier's arrival (Alg. 3 lines 5-8). We apply the tally
-//                 for *any* countable vehicle crossing the marker, which
-//                 extends the paper's two rules to re-passes and to
-//                 lossy-escapee interactions (DESIGN.md §2).
+//                 Overtakes of a marker carrier (Alg. 3 lines 5-8) settle
+//                 here too, from entry sequence numbers (steps B0 and B).
+//                 We apply the ±1 tally for *any* countable vehicle
+//                 crossing the marker, which extends the paper's two rules
+//                 to re-passes and to lossy-escapee interactions
+//                 (DESIGN.md §2).
 //
 // The same class implements the collection (Alg. 2/4): counter reports and
 // tree-acks are routed checkpoint-to-checkpoint by handing them to vehicles
@@ -76,7 +76,6 @@ class CountingProtocol final : public traffic::SimObserver {
 
   // ---- SimObserver ----------------------------------------------------------
   void on_transit(const traffic::TransitEvent& event) override;
-  void on_overtake(const traffic::OvertakeEvent& event) override;
   void on_despawn(const traffic::DespawnEvent& event) override;
 
   // ---- progress & results ----------------------------------------------------

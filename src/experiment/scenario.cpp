@@ -17,15 +17,11 @@ std::string ScenarioConfig::describe() const {
                       map.speed_limit);
 }
 
-RunMetrics run_scenario(const ScenarioConfig& config) {
-  return run_scenario_with(config, RunHooks{});
-}
-
 // The batch runner is a thin loop over the serving layer's stateful world:
 // build, step to convergence (or the time limit), extract metrics. Batch
 // runs and served/snapshotted runs therefore execute the identical wiring.
-RunMetrics run_scenario_with(const ScenarioConfig& config, const RunHooks& hooks) {
-  serve::SimWorld world(config, hooks);
+RunMetrics run_scenario(const ScenarioConfig& config) {
+  serve::SimWorld world(config);
   while (!world.done()) world.step();
   return world.finish();
 }

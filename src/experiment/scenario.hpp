@@ -123,18 +123,9 @@ struct RunHooks {
   // must return the route to use (normally `planned`, unmodified).
   std::function<traffic::Route(traffic::VehicleId, roadnet::NodeId, traffic::Route planned)>
       filter_continuation;
-  // Invoked after the run loop, before the world is torn down: the only
-  // point where engine/protocol/oracle internals (per-checkpoint totals,
-  // live population) can be captured beyond what RunMetrics carries.
-  std::function<void(const traffic::SimEngine&, const counting::CountingProtocol&,
-                     const counting::Oracle&)>
-      on_finish;
 };
 
 // Execute one scenario to convergence (or the time limit).
 [[nodiscard]] RunMetrics run_scenario(const ScenarioConfig& config);
-// Same, with instrumentation hooks (see RunHooks).
-[[nodiscard]] RunMetrics run_scenario_with(const ScenarioConfig& config,
-                                           const RunHooks& hooks);
 
 }  // namespace ivc::experiment

@@ -10,6 +10,7 @@
 #include "serve/snapshot.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 #include <utility>
@@ -120,7 +121,6 @@ void check(bool ok, const char* what) {
 template <class Ar, class Store>
 void visit_row(Ar& ar, Store& store, std::size_t i) {
   ar.field(store.position[i]);
-  ar.field(store.prev_position[i]);
   ar.field(store.speed[i]);
   ar.field(store.length[i]);
   ar.field(store.desired_speed_factor[i]);
@@ -224,7 +224,6 @@ void SnapshotAccess::visit(Ar& ar, ArchiveRef<Ar, traffic::SimEngine> e) {
   }
   ar.sequence(e.free_slots_);
   ar.sequence(e.alive_);
-  ar.sequence(e.watched_);
   // Lane membership is serialized explicitly: in-lane order encodes
   // arrival history (position ties), which positions alone cannot rebuild.
   ar.echo(std::uint64_t{e.lanes_.size()}, "lane table size");
@@ -455,6 +454,15 @@ void SimEngine::restore(const serve::Snapshot& snap) {
   store_ = VehicleStore{};
   serve::restore_section(snap, "engine", net_, *this);
   serve::check(store_.rows_consistent(), "vehicle store rows differ in length");
+  // finish_step is the clock's only writer: from 0, one tick per step.
+  // Checked without overflow, and with room for the next tick, which
+  // would otherwise overflow SimTime.
+  const std::int64_t tick = util::SimTime::from_seconds(config_.dt).millis();
+  std::int64_t elapsed = 0;
+  serve::check(!__builtin_mul_overflow(step_count_, tick, &elapsed) &&
+                   elapsed == now_.millis() &&
+                   now_.millis() <= std::numeric_limits<std::int64_t>::max() - tick,
+               "engine clock is not the step count times dt, or leaves no room for a step");
 
   // The id of each slot's live vehicle (invalid for a dead slot): every
   // vehicle id in the lists below is checked against this table, each at
@@ -493,8 +501,6 @@ void SimEngine::restore(const serve::Snapshot& snap) {
     alive_pos_[alive_[i].slot()] = static_cast<std::uint32_t>(i);
   }
 
-  for (const VehicleId id : watched_) serve::check(live(id), "watched vehicle id not live");
-
   edge_count_.assign(edge_count_.size(), 0);
   occupied_lanes_.clear();
   std::fill(seen.begin(), seen.end(), 0);
@@ -518,7 +524,6 @@ void SimEngine::restore(const serve::Snapshot& snap) {
   active_nodes_.clear();
 
   serve::check(in_lanes == alive_.size(), "lane table misses an alive vehicle");
-  serve::check(debug_occupancy_consistent(), "restored lane occupancy is inconsistent");
 }
 
 }  // namespace ivc::traffic

@@ -223,7 +223,7 @@ class Snapshot {
   static constexpr std::uint32_t kMagic = 0x53435649;    // "IVCS", little-endian
   static constexpr std::uint32_t kEndianMark = 0x01020304;
   // Bump on ANY section-layout change; from_bytes rejects mismatches.
-  static constexpr std::uint32_t kVersion = 2;
+  static constexpr std::uint32_t kVersion = 3;
 
   // Creates (or resets) the named section and returns its payload buffer.
   std::vector<std::uint8_t>& add_section(std::string_view name);

@@ -143,9 +143,6 @@ experiment::RunMetrics SimWorld::finish() {
   metrics.peak_vehicle_slots = engine_->vehicle_slot_count();
   metrics.total_lanes = engine_->total_lanes();
   metrics.peak_occupied_lanes = engine_->peak_occupied_lanes();
-
-  if (hooks_.on_finish) hooks_.on_finish(*engine_, *protocol_, *oracle_);
-
   metrics.wall_seconds =
       static_cast<double>(util::steady_now_nanos() - wall_start_nanos_) * 1e-9;
   return metrics;

@@ -1,12 +1,12 @@
 // A fully-wired, stateful simulation world (serving layer).
 //
-// SimWorld owns everything run_scenario_with used to build on the stack —
-// network, engine, router, demand, protocol, oracle, patrol fleet — and
-// exposes the run loop as step()/done()/finish() so a caller can hold a
-// world across steps: snapshot it mid-run, restore it into a fresh world,
-// or step it forever behind a query front-end (service.hpp). The batch
-// runner (experiment/run_scenario_with) is now a thin loop over this
-// class, so batch runs and served runs execute the identical wiring.
+// SimWorld owns everything a run needs — network, engine, router, demand,
+// protocol, oracle, patrol fleet — and exposes the run loop as
+// step()/done()/finish() so a caller can hold a world across steps:
+// snapshot it mid-run, restore it into a fresh world, or step it forever
+// behind a query front-end (service.hpp). The batch runner
+// (experiment::run_scenario) is a thin loop over this class, so batch
+// runs and served runs execute the identical wiring.
 //
 // Restore contract: build the restoring world with Mode::Restore from the
 // SAME ScenarioConfig (construction then skips initial placement, seed
@@ -43,14 +43,14 @@ class SimWorld {
   SimWorld& operator=(const SimWorld&) = delete;
 
   // One demand update + one engine step + (at the convergence-check
-  // cadence) the stability/quiescence bookkeeping — exactly the body of
-  // the old run_scenario_with loop.
+  // cadence) the stability/quiescence bookkeeping.
   void step();
   // True when the run is over: converged at a check point, or the
   // simulated time limit is reached.
   [[nodiscard]] bool done() const;
-  // Extract RunMetrics and invoke the on_finish hook. The world stays
-  // valid (a served world can keep answering queries after convergence).
+  // Extract RunMetrics. The world stays valid (a served world can keep
+  // answering queries after convergence, and a caller can read what
+  // RunMetrics does not carry).
   [[nodiscard]] experiment::RunMetrics finish();
 
   // Snapshot the complete world state (engine + demand + protocol +

@@ -53,19 +53,10 @@ void EventStreamHasher::on_transit(const traffic::TransitEvent& e) {
   }
 }
 
-void EventStreamHasher::on_overtake(const traffic::OvertakeEvent& e) {
-  ++events_;
-  mix(3);
-  mix(static_cast<std::uint64_t>(e.time.millis()));
-  mix(e.edge.value());
-  mix(e.watched.value());
-  mix(e.other.value());
-  mix(e.other_now_ahead ? 1 : 0);
-}
-
 void EventStreamHasher::on_despawn(const traffic::DespawnEvent& e) {
   // A despawn happens on an outbound gateway, which the vehicle already
-  // left the interior for at its last transit — no ledger movement.
+  // left the interior for at its last transit — no ledger movement. Tag 4,
+  // not 3: the pinned stream hashes were recorded with it.
   ++events_;
   mix(4);
   mix(static_cast<std::uint64_t>(e.time.millis()));
@@ -87,9 +78,34 @@ void step_checked(serve::SimWorld& world, std::string& failure) {
   }
 }
 
+// Finishes `world` and digests it and the event stream `hasher` saw.
+RunDigest finish_digest(serve::SimWorld& world, const EventStreamHasher& hasher) {
+  const experiment::RunMetrics metrics = world.finish();
+  RunDigest digest;
+  digest.event_hash = hasher.hash();
+  digest.events = hasher.event_count();
+  digest.ledger_population = hasher.ledger_population();
+  digest.steps = metrics.steps;
+  digest.transits = metrics.transits;
+  digest.total_spawned = metrics.total_spawned;
+  digest.protocol_total = metrics.protocol_total;
+  digest.collected_total = metrics.collected_total;
+  digest.truth = metrics.truth;
+  digest.population_inside = static_cast<std::int64_t>(world.engine().population_inside());
+  digest.double_counted = metrics.double_counted;
+  digest.total_exact = metrics.total_exact;
+  digest.exactly_once = metrics.exactly_once;
+  digest.constitution_converged = metrics.constitution_converged;
+  digest.collection_converged = metrics.collection_converged;
+  digest.quiescent = metrics.quiescent;
+  for (const auto& cp : world.protocol().checkpoints()) {
+    digest.checkpoint_totals.push_back(cp.local_total());
+  }
+  return digest;
+}
+
 RunDigest run_digest(const experiment::ScenarioConfig& config, const EngineFactory& factory,
                      bool reference) {
-  RunDigest digest;
   EventStreamHasher hasher;
   ReferenceKernel* kernel = nullptr;  // set when `reference`
   const roadnet::RoadNetwork* netp = nullptr;
@@ -122,48 +138,23 @@ RunDigest run_digest(const experiment::ScenarioConfig& config, const EngineFacto
       return planned;
     };
   }
-  hooks.on_finish = [&](const traffic::SimEngine& engine,
-                        const counting::CountingProtocol& protocol,
-                        const counting::Oracle& oracle) {
-    digest.population_inside = static_cast<std::int64_t>(engine.population_inside());
-    digest.truth = oracle.true_population();
-    digest.checkpoint_totals.reserve(protocol.checkpoints().size());
-    for (const auto& cp : protocol.checkpoints()) {
-      digest.checkpoint_totals.push_back(cp.local_total());
-    }
-    // Harvest the reference kernel's findings while the engine is alive.
-    if (kernel != nullptr) {
-      digest.violations = kernel->violations();
-      if (kernel->violation_count() > digest.violations.size()) {
-        digest.violations.push_back(
-            util::format("... %llu further violations suppressed",
-                         static_cast<unsigned long long>(kernel->violation_count() -
-                                                         digest.violations.size())));
-      }
-    }
-  };
 
-  // run_scenario_with's loop, with the aggregates checked after every step.
+  // run_scenario's loop, with the aggregates checked after every step.
   std::string failure;
   serve::SimWorld world(config, hooks);
   while (!world.done()) step_checked(world, failure);
-  const experiment::RunMetrics metrics = world.finish();
-  if (!failure.empty()) digest.violations.insert(digest.violations.begin(), failure);
-
-  digest.event_hash = hasher.hash();
-  digest.events = hasher.event_count();
-  digest.ledger_population = hasher.ledger_population();
-  digest.steps = metrics.steps;
-  digest.transits = metrics.transits;
-  digest.total_spawned = metrics.total_spawned;
-  digest.protocol_total = metrics.protocol_total;
-  digest.collected_total = metrics.collected_total;
-  digest.double_counted = metrics.double_counted;
-  digest.total_exact = metrics.total_exact;
-  digest.exactly_once = metrics.exactly_once;
-  digest.constitution_converged = metrics.constitution_converged;
-  digest.collection_converged = metrics.collection_converged;
-  digest.quiescent = metrics.quiescent;
+  RunDigest digest = finish_digest(world, hasher);
+  if (!failure.empty()) digest.violations.push_back(failure);
+  if (kernel != nullptr) {
+    digest.violations.insert(digest.violations.end(), kernel->violations().begin(),
+                             kernel->violations().end());
+    if (kernel->violation_count() > kernel->violations().size()) {
+      digest.violations.push_back(
+          util::format("... %llu further violations suppressed",
+                       static_cast<unsigned long long>(kernel->violation_count() -
+                                                       kernel->violations().size())));
+    }
+  }
   return digest;
 }
 
@@ -176,7 +167,6 @@ RunDigest run_digest(const experiment::ScenarioConfig& config, const EngineFacto
 // of the finished state (still a real check: finish() must agree).
 RunDigest run_digest_roundtrip(const experiment::ScenarioConfig& config,
                                const EngineFactory& factory, std::uint64_t snapshot_at) {
-  RunDigest digest;
   EventStreamHasher hasher;
 
   experiment::RunHooks hooks;
@@ -188,16 +178,6 @@ RunDigest run_digest_roundtrip(const experiment::ScenarioConfig& config,
     return engine;
   };
   hooks.observers = {&hasher};
-  hooks.on_finish = [&](const traffic::SimEngine& engine,
-                        const counting::CountingProtocol& protocol,
-                        const counting::Oracle& oracle) {
-    digest.population_inside = static_cast<std::int64_t>(engine.population_inside());
-    digest.truth = oracle.true_population();
-    digest.checkpoint_totals.reserve(protocol.checkpoints().size());
-    for (const auto& cp : protocol.checkpoints()) {
-      digest.checkpoint_totals.push_back(cp.local_total());
-    }
-  };
 
   serve::SimWorld original(config, hooks);
   // Saving before the first step is illegal (the initial placement's spawn
@@ -209,8 +189,8 @@ RunDigest run_digest_roundtrip(const experiment::ScenarioConfig& config,
 
   serve::Snapshot snap;
   original.save(snap);
-  digest.snapshot_bytes = snap.to_bytes();
-  const serve::Snapshot parsed = serve::Snapshot::from_bytes(digest.snapshot_bytes);
+  std::vector<std::uint8_t> bytes = snap.to_bytes();
+  const serve::Snapshot parsed = serve::Snapshot::from_bytes(bytes);
 
   serve::SimWorld resumed(config, hooks, serve::SimWorld::Mode::Restore);
   resumed.restore(parsed);
@@ -218,30 +198,16 @@ RunDigest run_digest_roundtrip(const experiment::ScenarioConfig& config,
   // later event; re-saving the restored world catches it at the cut.
   serve::Snapshot resaved;
   resumed.save(resaved);
-  if (failure.empty() && resaved.to_bytes() != digest.snapshot_bytes) {
+  if (failure.empty() && resaved.to_bytes() != bytes) {
     failure = "the restored world re-saves to different snapshot bytes";
   }
   if (failure.empty() && !resumed.protocol().debug_aggregates_consistent()) {
     failure = "protocol aggregates disagree with a full scan after restore";
   }
   while (!resumed.done()) step_checked(resumed, failure);
-  const experiment::RunMetrics metrics = resumed.finish();
+  RunDigest digest = finish_digest(resumed, hasher);
   if (!failure.empty()) digest.violations.push_back(failure);
-
-  digest.event_hash = hasher.hash();
-  digest.events = hasher.event_count();
-  digest.ledger_population = hasher.ledger_population();
-  digest.steps = metrics.steps;
-  digest.transits = metrics.transits;
-  digest.total_spawned = metrics.total_spawned;
-  digest.protocol_total = metrics.protocol_total;
-  digest.collected_total = metrics.collected_total;
-  digest.double_counted = metrics.double_counted;
-  digest.total_exact = metrics.total_exact;
-  digest.exactly_once = metrics.exactly_once;
-  digest.constitution_converged = metrics.constitution_converged;
-  digest.collection_converged = metrics.collection_converged;
-  digest.quiescent = metrics.quiescent;
+  digest.snapshot_bytes = std::move(bytes);
   return digest;
 }
 

@@ -40,7 +40,6 @@ class EventStreamHasher final : public traffic::SimObserver {
 
   void on_spawn(const traffic::SpawnEvent& e) override;
   void on_transit(const traffic::TransitEvent& e) override;
-  void on_overtake(const traffic::OvertakeEvent& e) override;
   void on_despawn(const traffic::DespawnEvent& e) override;
 
   [[nodiscard]] std::uint64_t hash() const { return hash_; }

@@ -47,9 +47,7 @@ class ReferenceKernel final : public traffic::SimEngine {
 
  protected:
   // Full segment×lane scan in lane-index order — the order the worklist
-  // reproduces. detect_overtakes() is not overridden: the base version is
-  // already the naive watched-major scan over every lane of the vehicle's
-  // edge, with no enumeration shortcut to cross-check.
+  // reproduces.
   void apply_lane_changes() override;
   void update_dynamics() override;
   void process_transits() override;

@@ -2,8 +2,9 @@
 //
 // The engine is observer-driven: the counting protocol never polls vehicle
 // state; it reacts to the same observable moments the paper's checkpoints
-// do — a vehicle transiting an intersection (camera + V2I exchange window)
-// and confirmed overtake reports from cooperative V2V ranging.
+// do — a vehicle transiting an intersection (camera + V2I exchange
+// window). Overtakes need no event of their own: the protocol settles them
+// at the stop line from the entry sequence numbers transits carry.
 //
 // Events are not dispatched at their generation site: the engine appends
 // them to a per-step EventBuffer (a typed variant stream, kept in
@@ -37,19 +38,6 @@ struct TransitEvent {
   std::uint64_t from_entry_seq = 0;
 };
 
-// Confirmed order flip on `edge` involving a *watched* vehicle (the engine
-// only tracks watched vehicles — the protocol watches label carriers, per
-// the paper's collaborative V2V detection [8]).
-struct OvertakeEvent {
-  util::SimTime time;
-  roadnet::EdgeId edge;
-  VehicleId watched;
-  VehicleId other;
-  // true: `other` moved ahead of `watched` (watched was overtaken);
-  // false: `watched` moved ahead of `other` (watched overtook).
-  bool other_now_ahead = false;
-};
-
 struct SpawnEvent {
   util::SimTime time;
   VehicleId vehicle;
@@ -69,13 +57,12 @@ class SimObserver {
   virtual ~SimObserver() = default;
   virtual void on_spawn(const SpawnEvent&) {}
   virtual void on_transit(const TransitEvent&) {}
-  virtual void on_overtake(const OvertakeEvent&) {}
   virtual void on_despawn(const DespawnEvent&) {}
   virtual void on_step_end(util::SimTime) {}
 };
 
 // One simulation event of any kind.
-using SimEvent = std::variant<SpawnEvent, TransitEvent, OvertakeEvent, DespawnEvent>;
+using SimEvent = std::variant<SpawnEvent, TransitEvent, DespawnEvent>;
 
 // Per-step event batch. The engine appends during the step; flush()
 // replays the batch to every observer in generation (index) order — the
@@ -107,7 +94,6 @@ class EventBuffer {
  private:
   static void dispatch(SimObserver* obs, const SpawnEvent& e) { obs->on_spawn(e); }
   static void dispatch(SimObserver* obs, const TransitEvent& e) { obs->on_transit(e); }
-  static void dispatch(SimObserver* obs, const OvertakeEvent& e) { obs->on_overtake(e); }
   static void dispatch(SimObserver* obs, const DespawnEvent& e) { obs->on_despawn(e); }
 
   std::vector<SimEvent> events_;

@@ -133,7 +133,6 @@ void SimEngine::insert_into_lane(VehicleId id, roadnet::EdgeId edge, int lane,
   store_.edge[slot] = edge;
   store_.lane[slot] = lane;
   store_.position[slot] = position;
-  store_.prev_position[slot] = position;
   const std::size_t index = lane_index(edge, lane);
   auto& vehicles = lanes_[index];
   if (vehicles.empty()) mark_lane_occupied(index);
@@ -248,16 +247,6 @@ VehicleId SimEngine::try_spawn_at_start(roadnet::EdgeId edge, const ExteriorAttr
   return spawn_at(edge, lane, 0.0, attrs, std::move(route), desired_speed_factor, is_patrol);
 }
 
-void SimEngine::set_watched(VehicleId id, bool watched) {
-  const auto it = std::lower_bound(watched_.begin(), watched_.end(), id);
-  const bool present = it != watched_.end() && *it == id;
-  if (watched && !present) {
-    watched_.insert(it, id);
-  } else if (!watched && present) {
-    watched_.erase(it);
-  }
-}
-
 roadnet::EdgeId SimEngine::ensure_next_edge(std::uint32_t slot, roadnet::NodeId node) {
   VehicleCold& cold = store_.cold[slot];
   roadnet::EdgeId next = cold.route.peek();
@@ -362,9 +351,6 @@ void SimEngine::lane_change_pass(std::uint32_t index) {
       const double p = pos[slot];
       remove_from_lane(vid);
       insert_into_lane(vid, seg.id, best_lane, p);
-      // Keep prev_position so the overtake detector sees the continuing
-      // longitudinal trajectory, not a teleport.
-      store_.prev_position[slot] = std::min(store_.prev_position[slot], p);
       store_.lane_change_cooldown[slot] = 10;
       // `remove_from_lane` erased entry i from `lane_list`; the
       // descending index loop only visits indices below i afterwards,
@@ -525,40 +511,6 @@ void SimEngine::dynamics_lanes(const std::uint32_t* lanes) {
   }
 }
 
-void SimEngine::overtake_scan(VehicleId wid) {
-  const std::uint32_t wslot = wid.slot();
-  if (wslot >= store_.slot_count() || store_.cold[wslot].id != wid ||
-      !store_.cold[wslot].alive) {
-    return;  // stale watch entry
-  }
-  const auto& seg = net_.segment(store_.edge[wslot]);
-  if (seg.lanes < 2) return;  // single-lane edges are FIFO by construction
-  const double* const pos = store_.position.data();
-  const double* const prev = store_.prev_position.data();
-  const double w_prev = prev[wslot];
-  const double w_pos = pos[wslot];
-  for (int lane = 0; lane < seg.lanes; ++lane) {
-    for (const VehicleId xid : lane_vehicles(store_.edge[wslot], lane)) {
-      if (xid == wid) continue;
-      const std::uint32_t xslot = xid.slot();
-      const double before = prev[xslot] - w_prev;
-      const double after = pos[xslot] - w_pos;
-      if (before == 0.0 || after == 0.0) continue;
-      if ((before < 0.0) != (after < 0.0)) {
-        push_event(OvertakeEvent{now_, store_.edge[wslot], wid, xid, after > 0.0});
-      }
-    }
-  }
-}
-
-void SimEngine::detect_overtakes() {
-  if (watched_.empty()) return;
-  // watched_ is sorted by id, so the event order here is identical on every
-  // platform — part of the bit-exact contract (an unordered_set would order
-  // these by hash-table layout).
-  for (const VehicleId wid : watched_) overtake_scan(wid);
-}
-
 void SimEngine::process_transits() {
   // Gateway despawns mutate the worklist mid-scan, so walk a snapshot.
   // Ascending lane-index order keeps despawn events in the segment-major
@@ -663,7 +615,6 @@ void SimEngine::despawn(std::uint32_t slot, roadnet::EdgeId edge) {
   alive_[pos] = alive_.back();
   alive_pos_[alive_[pos].slot()] = pos;
   alive_.pop_back();
-  set_watched(cold.id, false);
   // The slot is recycled only after this step's event flush, so buffered
   // events (and observers handling them) can still resolve the record.
   pending_free_.push_back(slot);
@@ -673,12 +624,9 @@ void SimEngine::despawn(std::uint32_t slot, roadnet::EdgeId edge) {
 void SimEngine::finish_step() {
   {
     util::PerfTimer timer(perf_, util::PerfPhase::StepBookkeeping);
-    double* const pos = store_.position.data();
-    double* const prev = store_.prev_position.data();
     std::int32_t* const cooldown = store_.lane_change_cooldown.data();
     for (const VehicleId id : alive_) {
       const std::uint32_t slot = id.slot();
-      prev[slot] = pos[slot];
       if (cooldown[slot] > 0) --cooldown[slot];
     }
     now_ += util::SimTime::from_seconds(config_.dt);
@@ -703,10 +651,6 @@ void SimEngine::step() {
   {
     util::PerfTimer timer(perf_, util::PerfPhase::Dynamics);
     update_dynamics();
-  }
-  {
-    util::PerfTimer timer(perf_, util::PerfPhase::Overtakes);
-    detect_overtakes();
   }
   {
     util::PerfTimer timer(perf_, util::PerfPhase::Transits);

@@ -5,8 +5,7 @@
 // per-approach intersection admission, store-and-forward of vehicles across
 // intersections with position carry-over, Poisson boundary flows (driven by
 // the demand models), and observer hooks at exactly the moments the
-// counting protocol can observe (intersection transits, confirmed
-// overtakes, spawns/despawns).
+// counting protocol can observe (intersection transits, spawns/despawns).
 //
 // Determinism: given a seed and a fixed observer set, runs are bit-exact
 // across platforms and standard libraries. All iteration is in index or
@@ -134,10 +133,6 @@ class SimEngine {
                                Route route, double desired_speed_factor = 1.0,
                                bool is_patrol = false);
 
-  // The protocol watches label carriers; the engine reports order flips
-  // (overtakes) only for watched vehicles.
-  void set_watched(VehicleId id, bool watched);
-
   // ---- simulation -----------------------------------------------------------
 
   void step();
@@ -152,10 +147,11 @@ class SimEngine {
   void save(serve::Snapshot& snap) const;
   // Restores into an engine built over the SAME network and SimConfig
   // (validated; serve::SnapshotError on mismatch), then checks what the
-  // field list cannot: every listed vehicle id is live, every lane holds
-  // exactly the vehicles on it, and each live vehicle's remaining route
-  // connects and its speed factor is positive. Restore-then-continue emits
-  // the same event stream as the uninterrupted run, bit for bit.
+  // field list cannot: the clock is step_count() × dt with room for one
+  // more step, every listed vehicle id is live, every lane holds exactly
+  // the vehicles on it, and each live vehicle's remaining route connects
+  // and its speed factor is positive. Restore-then-continue emits the same
+  // event stream as the uninterrupted run, bit for bit.
   void restore(const serve::Snapshot& snap);
 
   [[nodiscard]] util::SimTime now() const { return now_; }
@@ -231,10 +227,9 @@ class SimEngine {
   // full-scan drivers while sharing the per-lane bodies below — the fast
   // and reference engines then differ ONLY in how they enumerate work,
   // which is exactly the surface the occupied-lane worklist optimizes.
-  // Four virtual calls per step; the per-vehicle work dwarfs the dispatch.
+  // Three virtual calls per step; the per-vehicle work dwarfs the dispatch.
   virtual void apply_lane_changes();
   virtual void update_dynamics();
-  virtual void detect_overtakes();
   virtual void process_transits();
   void finish_step();
 
@@ -262,9 +257,6 @@ class SimEngine {
   // Admits this step's candidates at `node` (ordering, admission budget,
   // events) and clears the node's candidate list.
   void admit_at_node(roadnet::NodeId node);
-  // Order-flip scan for one watched vehicle (the per-item body of
-  // detect_overtakes).
-  void overtake_scan(VehicleId wid);
 
   // Snapshot of per-lane entry room (rearmost position − length) for every
   // occupied lane, taken at the top of the dynamics phase. dynamics_pass
@@ -354,11 +346,6 @@ class SimEngine {
   std::vector<std::uint32_t> edge_count_;      // vehicles per edge (all lanes)
   std::vector<roadnet::NodeId> active_nodes_;  // nodes with transit candidates
 
-  // Sorted by id: iteration order is deterministic across standard
-  // libraries (an unordered_set here would make the overtake event order —
-  // and hence the bit-exact event stream — depend on the stdlib's hash
-  // layout).
-  std::vector<VehicleId> watched_;
   std::vector<SimObserver*> observers_;
   RoutePlanner route_planner_;
   EventBuffer events_;

@@ -41,12 +41,10 @@ class TransitCounter final : public SimObserver {
 class EventRecorder final : public SimObserver {
  public:
   void on_transit(const TransitEvent& event) override { transits.push_back(event); }
-  void on_overtake(const OvertakeEvent& event) override { overtakes.push_back(event); }
   void on_spawn(const SpawnEvent& event) override { spawns.push_back(event); }
   void on_despawn(const DespawnEvent& event) override { despawns.push_back(event); }
 
   std::vector<TransitEvent> transits;
-  std::vector<OvertakeEvent> overtakes;
   std::vector<SpawnEvent> spawns;
   std::vector<DespawnEvent> despawns;
 };

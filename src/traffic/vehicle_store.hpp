@@ -1,7 +1,7 @@
 // Struct-of-arrays vehicle storage.
 //
-// The engine's per-step hot loops — IDM integration (dynamics_lanes),
-// gap-acceptance lane changes (lane_change_pass) and the overtake scan —
+// The engine's per-step hot loops — IDM integration (dynamics_lanes) and
+// gap-acceptance lane changes (lane_change_pass) —
 // sweep lanes of vehicles reading a handful of scalars each. The old AoS
 // `Vehicle` record spread those scalars across ~200 bytes of struct (route
 // vector, exterior attributes, RNG counters), so every per-vehicle touch
@@ -44,7 +44,6 @@ class VehicleStore {
  public:
   // ---- hot state, one contiguous array per field, indexed by slot ----------
   std::vector<double> position;            // m from edge start (front bumper)
-  std::vector<double> prev_position;       // position at the previous step
   std::vector<double> speed;               // m/s
   std::vector<double> length;              // m, from body type
   std::vector<double> desired_speed_factor;  // multiplies the edge speed limit
@@ -65,7 +64,6 @@ class VehicleStore {
   std::uint32_t push_slot() {
     const auto slot = static_cast<std::uint32_t>(cold.size());
     position.push_back(0.0);
-    prev_position.push_back(0.0);
     speed.push_back(0.0);
     length.push_back(0.0);
     desired_speed_factor.push_back(1.0);
@@ -84,7 +82,6 @@ class VehicleStore {
   void reset_slot(std::uint32_t slot) {
     IVC_ASSERT(slot < cold.size());
     position[slot] = 0.0;
-    prev_position[slot] = 0.0;
     speed[slot] = 0.0;
     length[slot] = 0.0;
     desired_speed_factor[slot] = 1.0;
@@ -103,9 +100,9 @@ class VehicleStore {
   // and debug assertions.
   [[nodiscard]] bool rows_consistent() const {
     const std::size_t n = cold.size();
-    return position.size() == n && prev_position.size() == n && speed.size() == n &&
-           length.size() == n && desired_speed_factor.size() == n && edge.size() == n &&
-           lane.size() == n && lane_change_cooldown.size() == n && is_patrol.size() == n;
+    return position.size() == n && speed.size() == n && length.size() == n &&
+           desired_speed_factor.size() == n && edge.size() == n && lane.size() == n &&
+           lane_change_cooldown.size() == n && is_patrol.size() == n;
   }
 };
 
@@ -124,7 +121,6 @@ class VehicleRef {
   [[nodiscard]] roadnet::EdgeId edge() const { return store_->edge[slot_]; }
   [[nodiscard]] int lane() const { return store_->lane[slot_]; }
   [[nodiscard]] double position() const { return store_->position[slot_]; }
-  [[nodiscard]] double prev_position() const { return store_->prev_position[slot_]; }
   [[nodiscard]] double speed() const { return store_->speed[slot_]; }
   [[nodiscard]] double length() const { return store_->length[slot_]; }
   [[nodiscard]] double desired_speed_factor() const {

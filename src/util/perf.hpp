@@ -22,9 +22,11 @@ namespace ivc::util {
 enum class PerfPhase : std::uint8_t {
   LaneChange,       // SimEngine: gap-acceptance lane changes
   Dynamics,         // SimEngine: IDM acceleration + position integration
-  Overtakes,        // SimEngine: watched-vehicle order-flip detection
+  // Never timed: the engine has no overtake phase. Kept only because the
+  // repo benchmark still reads it (benchmark/src/probes.cpp).
+  Overtakes,
   Transits,         // SimEngine: intersection admission + despawns
-  StepBookkeeping,  // SimEngine: prev-position carry, clock advance
+  StepBookkeeping,  // SimEngine: lane-change cooldowns, clock advance
   EventFlush,       // SimEngine: batched event dispatch to observers
   Demand,           // harness: boundary arrivals (DemandModel::update)
   kCount,

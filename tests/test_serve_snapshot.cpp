@@ -660,6 +660,50 @@ TEST(SimWorldSnapshot, ArrivalBudgetOutsideItsRangeIsRejected) {
   EXPECT_NO_THROW(target.restore(snap));
 }
 
+// The engine clock advances by one dt per step from 0, so restore rejects
+// a clock other than step count × dt, and one with no room for the next
+// step: a clock of INT64_MAX − 100 ms would otherwise restore, and the next
+// engine step overflow it.
+TEST(SimWorldSnapshot, EngineClockOffItsStepCountIsRejected) {
+  SimWorld source(open_smoke_config());
+  for (int i = 0; i < 200; ++i) source.step();
+  Snapshot snap;
+  source.save(snap);
+  const std::vector<std::uint8_t> engine = snap.section("engine");
+  // The clock (i64 ms) and then the step count (u64) follow the section's
+  // 58-byte echo block.
+  constexpr std::size_t kClockAt = 58;
+  const std::int64_t now = source.engine().now().millis();
+  std::vector<std::uint8_t> want(8, 0);
+  put_u64(want, 0, static_cast<std::uint64_t>(now));
+  ASSERT_TRUE(std::equal(want.begin(), want.end(), engine.begin() + kClockAt));
+  const std::uint64_t steps = source.engine().step_count();
+  const std::int64_t tick = util::SimTime::from_seconds(source.engine().dt()).millis();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const auto with_clock = [&](std::int64_t clock, std::uint64_t step_count) {
+    Snapshot edited = snap;
+    std::vector<std::uint8_t>& bytes = edited.add_section("engine");
+    bytes = engine;
+    put_u64(bytes, kClockAt, static_cast<std::uint64_t>(clock));
+    put_u64(bytes, kClockAt + 8, step_count);
+    return edited;
+  };
+
+  SimWorld target(open_smoke_config(), SimWorld::Mode::Restore);
+  for (const std::int64_t clock : {now + 1, now - tick, std::int64_t{-1}, kMax - 100, kMax}) {
+    EXPECT_THROW(target.restore(with_clock(clock, steps)), SnapshotError) << "clock " << clock;
+  }
+  // Consistent with its step count, but the next step would overflow it.
+  const std::uint64_t last = static_cast<std::uint64_t>(kMax / tick);
+  EXPECT_THROW(target.restore(with_clock(static_cast<std::int64_t>(last) * tick, last)),
+               SnapshotError);
+  // The step before it leaves room for one more.
+  const std::uint64_t room = last - 1;
+  EXPECT_NO_THROW(target.restore(with_clock(static_cast<std::int64_t>(room) * tick, room)));
+  target.engine().step();
+  EXPECT_EQ(target.engine().now().millis(), static_cast<std::int64_t>(last) * tick);
+}
+
 // Hostile input over a whole snapshot with all six sections (a patrol
 // fleet included): every section cut short at every length must be
 // rejected, and every byte of the encoding XOR-ed with 0xFF must either

@@ -17,7 +17,7 @@ namespace ivc::serve {
 namespace {
 
 // The unit tier's truncation and flip sweep snapshots the same world: the
-// tiny closed grid with one patrol car, after 100 steps (7,669 bytes).
+// tiny closed grid with one patrol car, after 100 steps (7,493 bytes).
 TEST(SimWorldSnapshot, EveryAcceptedByteFlipRunsToTheEnd) {
   experiment::ScenarioConfig config;
   config.map.streets = 4;

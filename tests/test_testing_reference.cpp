@@ -101,10 +101,6 @@ TEST(ReferenceKernel, MatchesFastEngineEventStream) {
     hasher.bind(engine.get());
     engine->add_observer(&hasher);
     demand.init_population();
-    const auto& alive = engine->alive_vehicles();
-    for (std::size_t i = 0; i < std::min<std::size_t>(alive.size(), 10); ++i) {
-      engine->set_watched(alive[i], true);
-    }
     for (int i = 0; i < 1200; ++i) {
       demand.update();
       engine->step();

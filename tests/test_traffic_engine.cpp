@@ -286,39 +286,6 @@ TEST(Engine, EntrySequenceMonotonePerEdge) {
   }
 }
 
-TEST(Engine, MultiLaneOvertakeDetected) {
-  // A watched slow vehicle on a 2-lane road gets passed by a fast one.
-  roadnet::NetworkBuilder b;
-  roadnet::RoadSpec rs;
-  rs.lanes = 2;
-  rs.speed_limit = 14.0;
-  const NodeId a = b.add_intersection({0, 0});
-  const NodeId c = b.add_intersection({600, 0});
-  b.add_two_way(a, c, rs);
-  const RoadNetwork net = b.build();
-  SimConfig config;
-  config.allow_lane_change = true;
-  SimEngine engine(net, config);
-  EventRecorder recorder;
-  engine.add_observer(&recorder);
-  const EdgeId e = *net.edge_between(a, c);
-  Route back;
-  back.cyclic = true;
-  back.edges = {*net.edge_between(c, a), e};
-  Route fwd = back;
-  fwd.next = 0;
-  const auto slow = engine.spawn_at(e, 0, 100.0, sedan(), back, 0.5);
-  const auto fast = engine.spawn_at(e, 0, 20.0, sedan(), back, 1.2);
-  ASSERT_TRUE(slow.valid() && fast.valid());
-  engine.set_watched(slow, true);
-  for (int i = 0; i < 120; ++i) engine.step();
-  bool overtaken = false;
-  for (const auto& ev : recorder.overtakes) {
-    if (ev.watched == slow && ev.other == fast && ev.other_now_ahead) overtaken = true;
-  }
-  EXPECT_TRUE(overtaken);
-}
-
 // Regression (stop-line admission): a follower behind a leader that is
 // waiting for admission *past* the segment end must itself hold at the
 // stop line — it has passed no admission check. The overlap clamp used to

@@ -217,14 +217,6 @@ class StreamHash final : public SimObserver {
     mix(e.to_edge.value());
     mix(e.from_entry_seq);
   }
-  void on_overtake(const OvertakeEvent& e) override {
-    mix(3);
-    mix(static_cast<std::uint64_t>(e.time.millis()));
-    mix(e.edge.value());
-    mix(e.watched.value());
-    mix(e.other.value());
-    mix(e.other_now_ahead ? 1 : 0);
-  }
   void on_despawn(const DespawnEvent& e) override {
     mix(4);
     mix(static_cast<std::uint64_t>(e.time.millis()));
@@ -250,13 +242,6 @@ TEST(Lifecycle, EventStreamBitExactAcrossRuns) {
     StreamHash hash;
     world.engine.add_observer(&hash);
     world.demand.init_population();
-    // Watch a handful of vehicles so overtake events (multi-lane avenues)
-    // are part of the hashed stream — their order is where an unordered
-    // watched set would leak stdlib-dependent iteration order.
-    const auto& alive = world.engine.alive_vehicles();
-    for (std::size_t i = 0; i < std::min<std::size_t>(alive.size(), 12); ++i) {
-      world.engine.set_watched(alive[i], true);
-    }
     world.run(1500);
     return hash.value();
   };
@@ -276,10 +261,6 @@ TEST(Lifecycle, EventStreamBitExactOnSparseMap) {
     StreamHash hash;
     world.engine.add_observer(&hash);
     world.demand.init_population();
-    const auto& alive = world.engine.alive_vehicles();
-    for (std::size_t i = 0; i < std::min<std::size_t>(alive.size(), 12); ++i) {
-      world.engine.set_watched(alive[i], true);
-    }
     world.run(1200);
     // Sparse means sparse: the worklist must stay far below the lane count.
     EXPECT_LT(world.engine.occupied_lane_count(),
@@ -301,7 +282,6 @@ TEST(Lifecycle, EventsAreDeliveredInGenerationOrderOncePerStep) {
     int events_before_first_step_end = 0;
     void on_spawn(const SpawnEvent&) override { bump(); }
     void on_transit(const TransitEvent&) override { bump(); }
-    void on_overtake(const OvertakeEvent&) override { bump(); }
     void on_despawn(const DespawnEvent&) override { bump(); }
     void on_step_end(util::SimTime) override { ++step_ends; }
 

@@ -73,7 +73,6 @@ TEST(VehicleStore, VehicleRefMirrorsArrays) {
   VehicleStore store;
   const std::uint32_t slot = store.push_slot();
   store.position[slot] = 42.5;
-  store.prev_position[slot] = 41.0;
   store.speed[slot] = 8.25;
   store.length[slot] = 4.5;
   store.edge[slot] = EdgeId{9};
@@ -92,7 +91,6 @@ TEST(VehicleStore, VehicleRefMirrorsArrays) {
   EXPECT_EQ(ref.edge(), EdgeId{9});
   EXPECT_EQ(ref.lane(), 2);
   EXPECT_DOUBLE_EQ(ref.position(), 42.5);
-  EXPECT_DOUBLE_EQ(ref.prev_position(), 41.0);
   EXPECT_DOUBLE_EQ(ref.speed(), 8.25);
   EXPECT_DOUBLE_EQ(ref.length(), 4.5);
   EXPECT_EQ(ref.lane_change_cooldown(), 3);
@@ -145,7 +143,6 @@ TEST(VehicleStore, RecycledSlotStartsFromSpawnDefaults) {
   const VehicleRef veh = engine.vehicle(second);
   EXPECT_TRUE(veh.alive());
   EXPECT_DOUBLE_EQ(veh.position(), 50.0);
-  EXPECT_DOUBLE_EQ(veh.prev_position(), 50.0);
   EXPECT_DOUBLE_EQ(veh.speed(), 0.0);
   EXPECT_EQ(veh.lane_change_cooldown(), 0);
   EXPECT_EQ(veh.edge(), world.ac);

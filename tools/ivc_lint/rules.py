@@ -49,7 +49,7 @@ CLOCK_ALLOWED_PATHS = ("src/util/perf",)
 # --- R4 ---------------------------------------------------------------------
 
 HOT_FIELDS = {
-    "position", "prev_position", "speed", "length", "desired_speed_factor",
+    "position", "speed", "length", "desired_speed_factor",
     "edge", "lane", "lane_change_cooldown", "is_patrol",
 }
 # src/traffic/ owns the layout; the snapshot serializer is the one
