@@ -1,76 +1,378 @@
-// ivc_bench — the unified batch runner.
+// ivc_bench — the one entry point for the paper's experiments.
 //
-// One CLI for every figure, ablation and named zoo scenario: it sweeps the
-// (volume x seeds x replicas) grid on the thread pool, prints the
-// max/min/avg tables the paper's surface plots are drawn from, and
-// optionally writes machine-readable CSV. Replaces the per-figure main()
-// duplication that used to live in bench/; fig4_/fig5_ remain there because
-// they also print the paper's speed-up comparisons across four sweeps.
+// Every paper figure and ablation is an entry of one catalogue, run by name
+// with --figure. A figure sweeps the (volume x seeds x replicas) grid of
+// each of its panels on the thread pool, prints the max/min/avg tables the
+// paper's surface plots are drawn from, and then the paper's comparisons
+// between its panels. An ablation runs its own axes and reads only the
+// harness flags it needs. Named zoo scenarios run through the same sweep.
+// The exit code is 1 when any run fails to converge or miscounts.
 //
 //   ivc_bench --list                      # catalogue of figures + scenarios
-//   ivc_bench --figure fig2               # a paper figure sweep
+//   ivc_bench --figure fig4               # Fig. 4's panels and comparisons
+//   ivc_bench --figure fig4b              # one panel of Fig. 4, alone
+//   ivc_bench --figure ablation-loss      # an ablation
 //   ivc_bench --scenario ring-radial-open-rush
 //   ivc_bench --all-scenarios --smoke     # CI: every zoo scenario in seconds
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "counting/oracle.hpp"
+#include "counting/patrol.hpp"
+#include "counting/protocol.hpp"
 #include "experiment/harness.hpp"
 #include "experiment/registry.hpp"
+#include "roadnet/manhattan.hpp"
+#include "roadnet/patrol_planner.hpp"
+#include "traffic/demand.hpp"
+#include "traffic/router.hpp"
 #include "util/csv.hpp"
+#include "util/rng.hpp"
 #include "util/string_util.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace {
 
 using namespace ivc;
+using experiment::FigureKind;
+using experiment::SystemMode;
+using Cells = std::vector<experiment::SweepCell>;
 
-struct FigureDef {
-  const char* name;
+// One sweep of a figure: a paper scenario, its table title and its section
+// name in the --out CSV.
+struct Panel {
+  const char* section;
   const char* title;
-  experiment::SystemMode mode;
-  experiment::FigureKind kind;
+  SystemMode mode;
   double speed_mps;
   double map_scale;
 };
 
-constexpr FigureDef kFigures[] = {
-    {"fig2", "Fig. 2 — constitution time (min), closed system, 15 mph",
-     experiment::SystemMode::Closed, experiment::FigureKind::Constitution,
-     util::kSpeedLimit15MphMps, 1.0},
-    {"fig3", "Fig. 3 — seeds' global-view collection time (min), closed system, 15 mph",
-     experiment::SystemMode::Closed, experiment::FigureKind::Collection,
-     util::kSpeedLimit15MphMps, 1.0},
-    {"fig4", "Fig. 4(a) — complete-status time (min), open system, 15 mph",
-     experiment::SystemMode::Open, experiment::FigureKind::Constitution,
-     util::kSpeedLimit15MphMps, 1.0},
-    {"fig4b", "Fig. 4(b) — open system after the speed limit is lifted to 25 mph",
-     experiment::SystemMode::Open, experiment::FigureKind::Constitution,
-     util::kSpeedLimit25MphMps, 1.0},
-    {"fig4c", "Fig. 4(c) — closed system, 25 mph, region scaled 0.6 (denser checkpoints)",
-     experiment::SystemMode::Closed, experiment::FigureKind::Constitution,
-     util::kSpeedLimit25MphMps, 0.6},
-    {"fig5", "Fig. 5(a) — collection time (min), open system, 15 mph",
-     experiment::SystemMode::Open, experiment::FigureKind::Collection,
-     util::kSpeedLimit15MphMps, 1.0},
-    {"fig5b", "Fig. 5(b) — open-system collection after 25 mph speedup",
-     experiment::SystemMode::Open, experiment::FigureKind::Collection,
-     util::kSpeedLimit25MphMps, 1.0},
+// A catalogue entry. A figure sweeps `panels` in order, then `compare`
+// (when set) prints the paper's comparisons from their cells; an ablation
+// has no panels and `ablation` runs it, returning pass/fail.
+struct Entry {
+  const char* name;
+  const char* title;
+  FigureKind kind;
+  std::span<const Panel> panels;
+  void (*compare)(const std::vector<Cells>& panels);
+  bool (*ablation)(const experiment::HarnessOptions& opts);
 };
 
-const FigureDef* find_figure(const std::string& name) {
-  for (const auto& figure : kFigures) {
-    if (name == figure.name) return &figure;
+constexpr Panel kFig2[] = {
+    {"fig2", "Fig. 2 — constitution time (min), closed system, 15 mph", SystemMode::Closed,
+     util::kSpeedLimit15MphMps, 1.0}};
+constexpr Panel kFig3[] = {
+    {"fig3", "Fig. 3 — seeds' global-view collection time (min), closed system, 15 mph",
+     SystemMode::Closed, util::kSpeedLimit15MphMps, 1.0}};
+// (c) shrinks the region to scale 0.6 (area -64%), the paper's denser
+// checkpoints; the closed 15 mph reference is Fig. 2(c) / 3(c), the
+// baseline of the paper's comparisons.
+constexpr Panel kFig4[] = {
+    {"fig4a", "Fig. 4(a) — Alg. 5 complete-status time (min), open system, 15 mph",
+     SystemMode::Open, util::kSpeedLimit15MphMps, 1.0},
+    {"fig4b", "Fig. 4(b) — same after speed limit lifted to 25 mph", SystemMode::Open,
+     util::kSpeedLimit25MphMps, 1.0},
+    {"fig4c",
+     "Fig. 4(c) — Alg. 3 closed system, 25 mph, region scaled 0.6 (denser checkpoints)",
+     SystemMode::Closed, util::kSpeedLimit25MphMps, 0.6},
+    {"fig4-ref", "Reference — Alg. 3 closed system, 15 mph (Fig. 2(c) baseline)",
+     SystemMode::Closed, util::kSpeedLimit15MphMps, 1.0}};
+constexpr Panel kFig5[] = {
+    {"fig5a", "Fig. 5(a) — seeds fetch complete status (min), open system, 15 mph",
+     SystemMode::Open, util::kSpeedLimit15MphMps, 1.0},
+    {"fig5b", "Fig. 5(b) — same after speed limit lifted to 25 mph", SystemMode::Open,
+     util::kSpeedLimit25MphMps, 1.0},
+    {"fig5c", "Fig. 5(c) — Alg. 3+4 closed system, 25 mph, region scaled 0.6",
+     SystemMode::Closed, util::kSpeedLimit25MphMps, 0.6},
+    {"fig5-ref", "Reference — Alg. 3+4 closed system, 15 mph (Fig. 3(c) baseline)",
+     SystemMode::Closed, util::kSpeedLimit15MphMps, 1.0}};
+
+// The speed-limit comparison both figures print. Panels are in kFig4 /
+// kFig5 order: (a), (b), (c), reference.
+std::string b_vs_a_line(const std::vector<Cells>& panels, FigureKind kind) {
+  const auto b_vs_a = experiment::summarize_speedup(panels[0], panels[1], kind);
+  return util::format("(b) vs (a): %.0f%%..%.0f%% quicker (avg %.0f%%)   [paper: 34-40%%]\n",
+                      b_vs_a.min_improvement_pct, b_vs_a.max_improvement_pct,
+                      b_vs_a.avg_improvement_pct);
+}
+
+void print_fig4_comparisons(const std::vector<Cells>& panels) {
+  const auto c_vs_fig2c =
+      experiment::summarize_speedup(panels[3], panels[2], FigureKind::Constitution);
+  const auto a_vs_fig2c =
+      experiment::summarize_speedup(panels[3], panels[0], FigureKind::Constitution);
+  std::cout << "== Fig. 4 headline comparisons ==\n"
+            << b_vs_a_line(panels, FigureKind::Constitution)
+            << util::format(
+                   "(c) vs Fig.2(c): up to %.0f%% quicker (avg %.0f%%)   [paper: up to 58%%]\n",
+                   c_vs_fig2c.max_improvement_pct, c_vs_fig2c.avg_improvement_pct)
+            << util::format(
+                   "(a) vs Fig.2(c): open is %.0f%% slower on average   [paper: limited gap]\n",
+                   -a_vs_fig2c.avg_improvement_pct);
+}
+
+void print_fig5_comparisons(const std::vector<Cells>& panels) {
+  const auto c_vs_fig3c =
+      experiment::summarize_speedup(panels[3], panels[2], FigureKind::Collection);
+  std::cout << "== Fig. 5 headline comparisons ==\n"
+            << b_vs_a_line(panels, FigureKind::Collection)
+            << util::format(
+                   "(c) vs Fig.3(c): up to %.0f%% quicker (avg %.0f%%)   [paper: up to 57%%]\n",
+                   c_vs_fig3c.max_improvement_pct, c_vs_fig3c.avg_improvement_pct);
+}
+
+// Multi-seed scaling (paper observation 6): adding seeds speeds counting
+// only until the spanning forest evenly covers the region. Quantifies the
+// diminishing constitution returns and the larger collection gains from
+// shallower trees. Reads --seed, --replicas, --threads, --time-limit and
+// --smoke.
+bool run_ablation_seeds(const experiment::HarnessOptions& opts) {
+  auto sweep = experiment::make_sweep(
+      opts, experiment::paper_scenario(SystemMode::Closed, util::kSpeedLimit15MphMps));
+  // This ablation's own axes replace the default grid.
+  if (opts.smoke) {
+    sweep.volumes_pct = {50};
+    sweep.seed_counts = {1, 4, 10};  // keep 1 and 10 for the headline speedup
+  } else {
+    sweep.volumes_pct = {25, 50, 100};
+    sweep.seed_counts = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  }
+
+  const auto cells = experiment::run_sweep(sweep);
+  bool all_ok = true;
+  util::TextTable table({"volume%", "seeds", "constitution avg(min)",
+                         "collection avg(min)", "wave covered(min)", "exact"});
+  for (const auto& cell : cells) {
+    const bool ok = cell.all_exact && cell.collection_converged;
+    all_ok = all_ok && ok;
+    table.add_row({util::format("%.0f", cell.volume_pct), std::to_string(cell.num_seeds),
+                   util::format("%.2f", cell.constitution_avg_min),
+                   util::format("%.2f", cell.collection_avg_min),
+                   util::format("%.2f", cell.time_all_active_min), ok ? "yes" : "NO"});
+  }
+  std::cout << "== Ablation: seed-count scaling (closed, 15 mph, 30% loss) ==\n";
+  table.print(std::cout);
+
+  // Headline: speedup from 1 -> 10 seeds at each volume.
+  for (const double volume : sweep.volumes_pct) {
+    double t1 = 0, t10 = 0, c1 = 0, c10 = 0;
+    for (const auto& cell : cells) {
+      if (cell.volume_pct != volume) continue;
+      if (cell.num_seeds == 1) {
+        t1 = cell.constitution_avg_min;
+        c1 = cell.collection_avg_min;
+      }
+      if (cell.num_seeds == 10) {
+        t10 = cell.constitution_avg_min;
+        c10 = cell.collection_avg_min;
+      }
+    }
+    if (t1 <= 0.0 || c1 <= 0.0) continue;  // non-converged cells have no headline
+    std::cout << util::format(
+        "vol %3.0f%%: 10 seeds vs 1: constitution %.0f%% quicker, collection %.0f%% "
+        "quicker\n",
+        volume, (t1 - t10) / t1 * 100.0, (c1 - c10) / c1 * 100.0);
+  }
+  return all_ok;
+}
+
+// Channel loss 0..60%. The paper fixes the loss at 30%; this shows that
+// retry-until-ack labeling plus the -1 compensation keep the count exact at
+// any loss rate, at the cost of retransmissions and (mildly) slower
+// convergence, and how many vehicles were double-counted and compensated.
+// Reads --seed, --replicas, --threads and --smoke.
+bool run_ablation_loss(const experiment::HarnessOptions& opts) {
+  const std::vector<double> losses = opts.smoke
+                                         ? std::vector<double>{0.0, 0.3, 0.6}
+                                         : std::vector<double>{0.0, 0.1, 0.2, 0.3,
+                                                               0.4, 0.5, 0.6};
+  const std::size_t replicas = opts.smoke ? 1 : static_cast<std::size_t>(opts.replicas);
+  // One slot per (loss, replica) job, reduced in job order after the pool
+  // drains, as run_sweep does: the means then do not depend on thread
+  // scheduling.
+  std::vector<experiment::RunMetrics> results(losses.size() * replicas);
+  util::ThreadPool pool(static_cast<std::size_t>(opts.threads));
+  pool.parallel_for(results.size(), [&](std::size_t i) {
+    const std::size_t li = i % losses.size();
+    const auto replica = static_cast<std::uint64_t>(i / losses.size());
+    experiment::ScenarioConfig config;
+    config.mode = SystemMode::Closed;
+    config.map.speed_limit = util::kSpeedLimit15MphMps;
+    config.volume_pct = 50;
+    config.num_seeds = 1;
+    config.protocol.channel_loss = losses[li];
+    if (opts.smoke) experiment::apply_smoke(&config);
+    config.seed = util::derive_seed(static_cast<std::uint64_t>(opts.seed), (li << 8) | replica);
+    results[i] = experiment::run_scenario(config);
+  });
+
+  struct Row {
+    bool exact = true;
+    double constitution_avg = 0;
+    double collection_avg = 0;
+    double failures = 0;
+    double doubles = 0;
+  };
+  std::vector<Row> rows(losses.size());
+  const auto n = static_cast<double>(replicas);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const experiment::RunMetrics& m = results[i];
+    Row& row = rows[i % losses.size()];
+    row.exact = row.exact && m.total_exact && m.constitution_converged;
+    row.constitution_avg += m.constitution_avg_min / n;
+    row.collection_avg += m.collection_avg_min / n;
+    row.failures += static_cast<double>(m.protocol_stats.label_handoff_failures) / n;
+    row.doubles += static_cast<double>(m.double_counted) / n;
+  }
+
+  bool all_ok = true;
+  util::TextTable table({"loss%", "exact", "constitution avg(min)", "collection avg(min)",
+                         "label retries", "double-counted(compensated)"});
+  for (std::size_t li = 0; li < rows.size(); ++li) {
+    const Row& row = rows[li];
+    all_ok = all_ok && row.exact;
+    table.add_row({util::format("%.0f", losses[li] * 100), row.exact ? "yes" : "NO",
+                   util::format("%.2f", row.constitution_avg),
+                   util::format("%.2f", row.collection_avg),
+                   util::format("%.0f", row.failures), util::format("%.0f", row.doubles)});
+  }
+  std::cout << "== Ablation: channel loss (closed, vol 50%, 1 seed) ==\n";
+  table.print(std::cout);
+  std::cout << "counts remain exact at every loss rate; retries and compensated\n"
+               "double-counts grow with the loss (Alg. 3's lossy extension).\n";
+  return all_ok;
+}
+
+struct OrphanOutcome {
+  bool converged = false;
+  double stable_min = 0.0;
+  bool exact = false;
+};
+
+// Demand detours around one directed segment of a ring road (the paper's
+// "odd traffic pattern"), so the marker for that segment never finds a
+// carrier and the counting deadlocks unless patrol cars drive the
+// edge-covering cycle.
+OrphanOutcome run_orphan_scenario(std::size_t patrol_cars, std::uint64_t seed) {
+  const auto net = roadnet::make_ring(10, 160.0);
+  traffic::SimConfig sim = traffic::SimConfig::simple_model();
+  sim.seed = seed;
+  traffic::SimEngine engine(net, sim);
+  traffic::Router router(net, seed + 1);
+  // The orphan: nobody drives 3 -> 2.
+  router.exclude_edge(*net.edge_between(roadnet::NodeId{3}, roadnet::NodeId{2}));
+
+  traffic::DemandConfig dc;
+  dc.vehicles_at_100pct = 60;
+  dc.seed = seed + 2;
+  traffic::DemandModel demand(engine, router, dc);
+  engine.set_route_planner([&demand](traffic::VehicleId v, roadnet::NodeId n) {
+    return demand.plan_continuation(v, n);
+  });
+
+  counting::ProtocolConfig pc;
+  counting::CountingProtocol protocol(engine, pc);
+  counting::Oracle oracle(engine, surveillance::Recognizer(pc.target));
+  protocol.set_oracle(&oracle);
+
+  std::unique_ptr<counting::PatrolFleet> fleet;
+  if (patrol_cars > 0) {
+    fleet = std::make_unique<counting::PatrolFleet>(
+        engine, roadnet::plan_patrol_route(net, roadnet::NodeId{0}));
+    fleet->deploy(patrol_cars);
+  }
+  demand.init_population();
+  protocol.designate_seeds({roadnet::NodeId{0}});
+  protocol.start();
+
+  OrphanOutcome outcome;
+  const auto limit = util::SimTime::from_minutes(90.0);
+  while (engine.now() < limit) {
+    engine.step();
+    if (engine.step_count() % 20 == 0 && protocol.all_stable() && protocol.quiescent()) {
+      outcome.converged = true;
+      break;
+    }
+  }
+  if (outcome.converged) {
+    for (const auto& cp : protocol.checkpoints()) {
+      outcome.stable_min = std::max(outcome.stable_min, cp.stable_time().minutes());
+    }
+    outcome.exact = protocol.live_total() == oracle.true_population();
+  }
+  return outcome;
+}
+
+// Patrol fleet size vs orphan-segment rescue time (Theorems 3 and 4): time
+// to full stabilization by fleet size, 0 cars being the deadlock. Reads
+// --seed and --smoke.
+bool run_ablation_patrol(const experiment::HarnessOptions& opts) {
+  util::TextTable table({"patrol cars", "converged", "stabilized(min)", "exact"});
+  const std::vector<std::size_t> fleets =
+      opts.smoke ? std::vector<std::size_t>{0, 2} : std::vector<std::size_t>{0, 1, 2, 4, 8};
+  bool all_ok = true;
+  for (const std::size_t cars : fleets) {
+    const OrphanOutcome outcome =
+        run_orphan_scenario(cars, static_cast<std::uint64_t>(opts.seed));
+    // 0 cars is *supposed* to deadlock (that's the ablation's point); any
+    // actual patrol presence must converge exactly.
+    if (cars > 0) all_ok = all_ok && outcome.converged && outcome.exact;
+    table.add_row({std::to_string(cars), outcome.converged ? "yes" : "NO (deadlock)",
+                   outcome.converged ? util::format("%.2f", outcome.stable_min) : "-",
+                   outcome.converged ? (outcome.exact ? "yes" : "NO") : "-"});
+  }
+  std::cout << "== Ablation: patrol rescue of an orphan segment "
+               "(10-ring, one excluded direction) ==\n";
+  table.print(std::cout);
+  std::cout << "0 cars reproduces the deadlock of the odd-traffic pattern; any\n"
+               "patrol presence bounds the stop delay by the inter-patrol gap\n"
+               "on the covering cycle (Theorem 3).\n";
+  return all_ok;
+}
+
+constexpr Entry kEntries[] = {
+    {"fig2", "Fig. 2 — constitution time, closed system, 15 mph", FigureKind::Constitution,
+     kFig2, nullptr, nullptr},
+    {"fig3", "Fig. 3 — seeds' collection time, closed system, 15 mph",
+     FigureKind::Collection, kFig3, nullptr, nullptr},
+    {"fig4", "Fig. 4 (a)-(c) + closed 15 mph reference — open-system constitution",
+     FigureKind::Constitution, kFig4, print_fig4_comparisons, nullptr},
+    {"fig5", "Fig. 5 (a)-(c) + closed 15 mph reference — open-system collection",
+     FigureKind::Collection, kFig5, print_fig5_comparisons, nullptr},
+    {"ablation-seeds", "Ablation: seed-count scaling (closed, 15 mph)",
+     FigureKind::Constitution, {}, nullptr, run_ablation_seeds},
+    {"ablation-loss", "Ablation: channel loss 0..60% (closed, vol 50%, 1 seed)",
+     FigureKind::Constitution, {}, nullptr, run_ablation_loss},
+    {"ablation-patrol", "Ablation: patrol fleet size vs orphan-segment rescue",
+     FigureKind::Constitution, {}, nullptr, run_ablation_patrol},
+};
+
+const Entry* find_entry(const std::string& name) {
+  for (const auto& entry : kEntries) {
+    if (name == entry.name) return &entry;
   }
   return nullptr;
 }
 
 void print_catalogue() {
   util::TextTable figures({"figure", "title"});
-  for (const auto& figure : kFigures) figures.add_row({figure.name, figure.title});
-  std::cout << "== Paper figures (run with --figure <name>) ==\n";
+  for (const auto& entry : kEntries) {
+    figures.add_row({entry.name, entry.title});
+    for (const Panel& panel : entry.panels) {
+      if (entry.panels.size() > 1) figures.add_row({panel.section, panel.title});
+    }
+  }
+  std::cout << "== Paper figures and ablations (run with --figure <name>) ==\n";
   figures.print(std::cout);
 
   util::TextTable scenarios({"scenario", "topology", "demand", "description"});
@@ -83,28 +385,41 @@ void print_catalogue() {
                "              --volumes 25,50,100 --seeds 1,2,4 --out file.csv\n";
 }
 
-[[nodiscard]] bool parse_double_list(const std::string& csv, std::vector<double>* out) {
+// Parses a comma-separated list of finite numbers. Each token must be
+// consumed whole, so "50x" is an error, not 50.
+[[nodiscard]] bool parse_number_list(const char* flag, const std::string& csv,
+                                     std::vector<double>* out) {
   out->clear();
   for (const auto& token : util::split(csv, ',')) {
-    double value = 0.0;
-    try {
-      value = std::stod(token);
-    } catch (...) {
-      std::cerr << "ivc_bench: bad number '" << token << "' in list '" << csv << "'\n";
-      return false;
-    }
-    if (value <= 0.0) {
-      std::cerr << "ivc_bench: values in '" << csv << "' must be positive\n";
+    char* end = nullptr;
+    const double value = std::strtod(token.c_str(), &end);
+    if (end == token.c_str() || *end != '\0' || !std::isfinite(value)) {
+      std::cerr << "error: --" << flag << ": '" << token << "' is not a finite number\n";
       return false;
     }
     out->push_back(value);
   }
-  return !out->empty();
+  return true;
+}
+
+// Volumes are % of the daily average. The 10x bound keeps the demand
+// model's population cast far inside size_t.
+constexpr double kMaxVolumePct = 1000.0;
+
+[[nodiscard]] bool parse_volumes(const std::string& csv, std::vector<double>* out) {
+  if (!parse_number_list("volumes", csv, out)) return false;
+  for (const double v : *out) {
+    if (v <= 0.0 || v > kMaxVolumePct) {
+      std::cerr << "error: --volumes entries must be in (0, " << kMaxVolumePct << "]\n";
+      return false;
+    }
+  }
+  return true;
 }
 
 [[nodiscard]] bool parse_seed_counts(const std::string& csv, std::vector<int>* out) {
   std::vector<double> values;
-  if (!parse_double_list(csv, &values)) return false;
+  if (!parse_number_list("seeds", csv, &values)) return false;
   out->clear();
   constexpr int kMaxSeeds = std::numeric_limits<int>::max();
   for (const double v : values) {
@@ -113,8 +428,8 @@ void print_catalogue() {
       std::cerr << "error: --seeds entries must be <= " << kMaxSeeds << "\n";
       return false;
     }
-    if (v != static_cast<double>(static_cast<int>(v))) {
-      std::cerr << "ivc_bench: '" << csv << "' must contain whole numbers\n";
+    if (v < 1.0 || v != static_cast<double>(static_cast<int>(v))) {
+      std::cerr << "error: --seeds entries must be positive whole numbers\n";
       return false;
     }
     out->push_back(static_cast<int>(v));
@@ -126,18 +441,21 @@ struct RunRequest {
   std::string name;
   std::string title;
   experiment::SweepConfig sweep;
-  experiment::FigureKind kind;
+  FigureKind kind;
 };
 
-// Runs one sweep, appends CSV to `csv_out` if open. Returns pass/fail.
-bool execute(const RunRequest& request, bool print_csv, std::ofstream* csv_out) {
-  const auto cells =
-      experiment::run_and_report(request.title, request.sweep, request.kind, print_csv);
-  if (csv_out != nullptr && csv_out->is_open()) {
-    *csv_out << "# " << request.name << "\n";
-    experiment::print_figure_csv(*csv_out, cells, request.kind);
+// Seeds are distinct intersections: a seed count above the map's
+// intersection count would abort in choose_random_seeds mid-sweep.
+[[nodiscard]] bool seeds_fit_map(const RunRequest& request) {
+  const std::size_t nodes = experiment::build_network(request.sweep.base).num_intersections();
+  for (const int seeds : request.sweep.seed_counts) {
+    if (static_cast<std::size_t>(seeds) > nodes) {
+      std::cerr << "error: --seeds entry " << seeds << " exceeds the " << nodes
+                << " intersections of " << request.name << "'s map\n";
+      return false;
+    }
   }
-  return experiment::all_cells_ok(cells, request.kind);
+  return true;
 }
 
 }  // namespace
@@ -153,9 +471,9 @@ int main(int argc, char** argv) {
   std::string out_path;
 
   util::Cli cli("ivc_bench",
-                "unified sweep runner: paper figures and zoo scenarios by name");
-  cli.add_flag("list", &list, "list figures and named scenarios, then exit");
-  cli.add_string("figure", &figure_name, "run a paper figure (fig2..fig5b)");
+                "the paper's figures and ablations, and zoo scenarios, by name");
+  cli.add_flag("list", &list, "list figures, ablations and named scenarios, then exit");
+  cli.add_string("figure", &figure_name, "run a paper figure or ablation (see --list)");
   cli.add_string("scenario", &scenario_name, "run a named scenario (see --list)");
   cli.add_flag("all-scenarios", &all_scenarios, "run every named scenario");
   cli.add_string("volumes", &volumes_csv, "override volume grid, e.g. 25,50,100");
@@ -178,46 +496,53 @@ int main(int argc, char** argv) {
 
   std::vector<double> volumes;
   std::vector<int> seed_counts;
-  if (!volumes_csv.empty() && !parse_double_list(volumes_csv, &volumes)) return 1;
+  if (!volumes_csv.empty() && !parse_volumes(volumes_csv, &volumes)) return 1;
   if (!seeds_csv.empty() && !parse_seed_counts(seeds_csv, &seed_counts)) return 1;
 
   const auto scale =
       opts.smoke ? experiment::ScenarioScale::Smoke : experiment::ScenarioScale::Full;
-  std::vector<RunRequest> requests;
+  const Entry* entry = nullptr;
+  std::vector<RunRequest> panels;
+  std::vector<RunRequest> scenarios;
 
   if (!figure_name.empty()) {
-    const FigureDef* figure = find_figure(figure_name);
-    if (figure == nullptr) {
+    entry = find_entry(figure_name);
+    // A panel also runs alone under its section name (`--figure fig4b`),
+    // without its figure's comparisons.
+    for (const auto& figure : kEntries) {
+      for (const Panel& panel : figure.panels) {
+        if (entry != &figure && (entry != nullptr || figure_name != panel.section)) continue;
+        panels.push_back({panel.section, panel.title,
+                          experiment::make_sweep(opts, experiment::paper_scenario(
+                                                           panel.mode, panel.speed_mps,
+                                                           panel.map_scale)),
+                          figure.kind});
+      }
+    }
+    if (entry == nullptr && panels.empty()) {
       std::cerr << "ivc_bench: unknown figure '" << figure_name << "' (see --list)\n";
       return 1;
     }
-    RunRequest request;
-    request.name = figure->name;
-    request.title = figure->title;
-    request.sweep = experiment::make_sweep(
-        opts, experiment::paper_scenario(figure->mode, figure->speed_mps, figure->map_scale));
-    request.kind = figure->kind;
-    requests.push_back(std::move(request));
   }
 
   const auto& registry = experiment::ScenarioRegistry::builtin();
   std::vector<const experiment::NamedScenario*> picked;
   if (all_scenarios) {
-    for (const auto& entry : registry.entries()) picked.push_back(&entry);
+    for (const auto& named : registry.entries()) picked.push_back(&named);
   } else if (!scenario_name.empty()) {
-    const auto* entry = registry.find(scenario_name);
-    if (entry == nullptr) {
+    const auto* named = registry.find(scenario_name);
+    if (named == nullptr) {
       std::cerr << "ivc_bench: unknown scenario '" << scenario_name << "' (see --list)\n";
       return 1;
     }
-    picked.push_back(entry);
+    picked.push_back(named);
   }
-  for (const auto* entry : picked) {
-    const experiment::ScenarioConfig base = entry->make(scale);
+  for (const auto* named : picked) {
+    const experiment::ScenarioConfig base = named->make(scale);
     RunRequest request;
-    request.name = entry->name;
+    request.name = named->name;
     request.title =
-        util::format("Scenario %s — %s", entry->name.c_str(), entry->description.c_str());
+        util::format("Scenario %s — %s", named->name.c_str(), named->description.c_str());
     // The registry factory already sized `base` for the requested scale;
     // don't let apply_smoke clamp away scenario-specific sizing.
     request.sweep = experiment::make_sweep(opts, base, opts.smoke);
@@ -227,9 +552,17 @@ int main(int argc, char** argv) {
       request.sweep.volumes_pct = {25, 50, 75, 100};
       request.sweep.seed_counts = {1, 2, 4};
     }
-    request.kind = base.protocol.collection ? experiment::FigureKind::Collection
-                                            : experiment::FigureKind::Constitution;
-    requests.push_back(std::move(request));
+    request.kind = base.protocol.collection ? FigureKind::Collection
+                                            : FigureKind::Constitution;
+    scenarios.push_back(std::move(request));
+  }
+
+  for (auto* requests : {&panels, &scenarios}) {
+    for (auto& request : *requests) {
+      if (!volumes.empty()) request.sweep.volumes_pct = volumes;
+      if (!seed_counts.empty()) request.sweep.seed_counts = seed_counts;
+      if (!seeds_fit_map(request)) return 1;
+    }
   }
 
   std::ofstream csv_out;
@@ -242,11 +575,23 @@ int main(int argc, char** argv) {
   }
 
   bool all_ok = true;
-  for (auto& request : requests) {
-    if (!volumes.empty()) request.sweep.volumes_pct = volumes;
-    if (!seed_counts.empty()) request.sweep.seed_counts = seed_counts;
-    all_ok = execute(request, opts.csv, &csv_out) && all_ok;
-  }
+  const auto run_all = [&](const std::vector<RunRequest>& requests) {
+    std::vector<Cells> cells;
+    for (const auto& request : requests) {
+      cells.push_back(
+          experiment::run_and_report(request.title, request.sweep, request.kind, opts.csv));
+      all_ok = experiment::all_cells_ok(cells.back(), request.kind) && all_ok;
+      if (csv_out.is_open()) {
+        csv_out << "# " << request.name << "\n";
+        experiment::print_figure_csv(csv_out, cells.back(), request.kind);
+      }
+    }
+    return cells;
+  };
+  if (entry != nullptr && entry->ablation != nullptr) all_ok = entry->ablation(opts);
+  const std::vector<Cells> figure_cells = run_all(panels);
+  if (entry != nullptr && entry->compare != nullptr) entry->compare(figure_cells);
+  run_all(scenarios);
   if (!all_ok) {
     std::cerr << "ivc_bench: some runs failed to converge or miscounted\n";
     return 1;

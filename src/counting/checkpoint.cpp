@@ -55,9 +55,12 @@ void Checkpoint::start_counting_all_except(roadnet::EdgeId excluded, util::SimTi
     dir.state = DirectionState::Counting;
     dir.start_time = now;
   }
-  // Phase 2: a marker must go out on *every* outbound direction (see
-  // DESIGN.md §2.1 — Chandy–Lamport semantics; this includes the direction
-  // back toward the predecessor).
+  // Phase 2: a marker must go out on *every* outbound direction, as a
+  // Chandy–Lamport snapshot sends one on every outgoing channel. That
+  // includes the direction back toward the predecessor: only this
+  // checkpoint can issue the marker that stops the predecessor's inbound
+  // direction from here, so without it the predecessor would never
+  // stabilize (Checkpoint.LabelActivationExcludesPredecessor).
   for (auto& out : outbound_) {
     out.needs_label = true;
     out.outcome = LabelOutcome::NotIssued;

@@ -14,10 +14,16 @@
 //                 for the store-carry-forward transport (Alg. 2/4).
 //                 Overtakes of a marker carrier (Alg. 3 lines 5-8) settle
 //                 here too, from entry sequence numbers (steps B0 and B).
-//                 We apply the ±1 tally for *any* countable vehicle
-//                 crossing the marker, which extends the paper's two rules
-//                 to re-passes and to lossy-escapee interactions
-//                 (DESIGN.md §2).
+//                 We apply the ±1 tally for *any* countable vehicle, by
+//                 net arrival order on the marked edge, which extends the
+//                 paper's two per-overtake rules: a vehicle that passes
+//                 the carrier and is passed back nets to zero, and a lossy
+//                 escapee (already compensated -1 in step E) that the
+//                 marker overtakes is +1, since it arrives after the stop
+//                 and is never counted twice.
+//                 LossyClosedTest.TotalExactUnderLossAndOvertakes checks
+//                 the total stays exact; without the tally,
+//                 Overtakes.DisabledAdjustmentBreaksExactness miscounts.
 //
 // The same class implements the collection (Alg. 2/4): counter reports and
 // tree-acks are routed checkpoint-to-checkpoint by handing them to vehicles

@@ -29,16 +29,6 @@ bool check_harness_options(const HarnessOptions& opts) {
   return true;
 }
 
-std::optional<int> parse_harness_options(int argc, const char* const* argv,
-                                         const std::string& name, const std::string& what,
-                                         HarnessOptions* out) {
-  util::Cli cli(name, what);
-  add_harness_options(cli, out);
-  if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
-  if (!check_harness_options(*out)) return 1;
-  return std::nullopt;
-}
-
 void apply_smoke(ScenarioConfig* config) {
   if (!config->map_factory) {
     config->map.streets = 6;

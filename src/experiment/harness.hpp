@@ -1,16 +1,15 @@
-// Shared sweep-harness scaffolding for the figure benches, the ablations
-// and the unified `ivc_bench` runner.
+// Shared sweep-harness scaffolding for `ivc_bench`, the one entry point for
+// the paper's figures, ablations and named scenarios.
 //
-// Every harness sweeps the paper's evaluation grid — traffic volume
+// Every figure sweeps the paper's evaluation grid — traffic volume
 // 10..100 % of daily average x 1..10 randomly-placed seeds — runs each cell
 // to convergence on the thread pool, verifies the zero-mis/double-counting
 // claim on every run, and prints the max/min/avg rows the paper's surface
 // plots are drawn from. `--smoke` shrinks the map, grid and time limit so
-// CI can exercise every harness end-to-end in seconds.
+// CI can exercise every experiment end-to-end in seconds.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,8 +31,7 @@ struct HarnessOptions {
   std::int64_t time_limit_min = 0;
 };
 
-// Registers the common flags on an existing Cli (for harnesses that add
-// their own options on top).
+// Registers the common flags on an existing Cli.
 void add_harness_options(util::Cli& cli, HarnessOptions* out);
 
 // Upper bounds of the harness CLIs' counts: run_sweep's replica index fills
@@ -46,14 +44,6 @@ inline constexpr std::int64_t kMaxThreads = 256;
 // --threads outside 0..kMaxThreads. Prints `error: --<flag> ...` and returns
 // false on a bad value.
 [[nodiscard]] bool check_harness_options(const HarnessOptions& opts);
-
-// One-call parse for harnesses with no extra options. Returns the process
-// exit code to use (0 for --help, 1 for a parse error or an out-of-range
-// count) or nullopt when parsing succeeded and the harness should proceed.
-[[nodiscard]] std::optional<int> parse_harness_options(int argc, const char* const* argv,
-                                                       const std::string& name,
-                                                       const std::string& what,
-                                                       HarnessOptions* out);
 
 // Shrink a scenario so a single run completes in well under a second: a
 // 6x4 Manhattan map (zoo factories scale themselves via the registry), a

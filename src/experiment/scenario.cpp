@@ -17,6 +17,14 @@ std::string ScenarioConfig::describe() const {
                       map.speed_limit);
 }
 
+roadnet::RoadNetwork build_network(const ScenarioConfig& config) {
+  const int stride = config.mode == SystemMode::Open ? config.gateway_stride : 0;
+  if (config.map_factory) return config.map_factory(stride);
+  roadnet::ManhattanConfig map = config.map;
+  map.gateway_stride = stride;
+  return roadnet::make_manhattan_grid(map);
+}
+
 // The batch runner is a thin loop over the serving layer's stateful world:
 // build, step to convergence (or the time limit), extract metrics. Batch
 // runs and served/snapshotted runs therefore execute the identical wiring.

@@ -125,6 +125,10 @@ struct RunHooks {
       filter_continuation;
 };
 
+// The scenario's road network: its map factory's topology, or else the
+// Manhattan grid; border gateways only when the system runs open.
+[[nodiscard]] roadnet::RoadNetwork build_network(const ScenarioConfig& config);
+
 // Execute one scenario to convergence (or the time limit).
 [[nodiscard]] RunMetrics run_scenario(const ScenarioConfig& config);
 

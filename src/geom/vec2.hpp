@@ -1,4 +1,5 @@
-// 2-D vector math for road layout, vehicle positions and radio range tests.
+// 2-D points for intersection positions: the builder's default segment
+// lengths and the router's straight-line A* bound.
 #pragma once
 
 #include <cmath>
@@ -14,32 +15,12 @@ struct Vec2 {
 
   friend constexpr Vec2 operator+(Vec2 a, Vec2 b) { return {a.x + b.x, a.y + b.y}; }
   friend constexpr Vec2 operator-(Vec2 a, Vec2 b) { return {a.x - b.x, a.y - b.y}; }
-  friend constexpr Vec2 operator*(Vec2 a, double s) { return {a.x * s, a.y * s}; }
-  friend constexpr Vec2 operator*(double s, Vec2 a) { return a * s; }
-  friend constexpr Vec2 operator/(Vec2 a, double s) { return {a.x / s, a.y / s}; }
   friend constexpr bool operator==(Vec2 a, Vec2 b) { return a.x == b.x && a.y == b.y; }
 
-  Vec2& operator+=(Vec2 b) {
-    x += b.x;
-    y += b.y;
-    return *this;
-  }
-
-  [[nodiscard]] constexpr double dot(Vec2 b) const { return x * b.x + y * b.y; }
-  [[nodiscard]] constexpr double cross(Vec2 b) const { return x * b.y - y * b.x; }
   [[nodiscard]] constexpr double length_sq() const { return x * x + y * y; }
   [[nodiscard]] double length() const { return std::sqrt(length_sq()); }
-
-  [[nodiscard]] Vec2 normalized() const {
-    const double len = length();
-    return len > 0.0 ? Vec2{x / len, y / len} : Vec2{};
-  }
-  // Perpendicular (rotated +90 degrees); used for lane offsets.
-  [[nodiscard]] constexpr Vec2 perp() const { return {-y, x}; }
 };
 
 [[nodiscard]] inline double distance(Vec2 a, Vec2 b) { return (a - b).length(); }
-[[nodiscard]] constexpr double distance_sq(Vec2 a, Vec2 b) { return (a - b).length_sq(); }
-[[nodiscard]] inline Vec2 lerp(Vec2 a, Vec2 b, double t) { return a + (b - a) * t; }
 
 }  // namespace ivc::geom

@@ -37,8 +37,7 @@ EdgeId NetworkBuilder::add_segment(NodeId from, NodeId to, int lanes, double spe
   const geom::Vec2 b = to.valid() ? net_.intersections_[to.value()].position
                                   : net_.intersections_[from.value()].position +
                                         geom::Vec2{length > 0 ? length : 150.0, 0.0};
-  seg.shape = geom::Polyline{{a, b}};
-  seg.length = length > 0.0 ? length : seg.shape.length();
+  seg.length = length > 0.0 ? length : geom::distance(a, b);
   IVC_ASSERT_MSG(seg.length > 1.0, "segments shorter than a vehicle are not supported");
 
   // Adjacency lists hold interior edges only; gateways are tracked in the

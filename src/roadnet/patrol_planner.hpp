@@ -4,8 +4,12 @@
 // ferry counting statuses and break orphan-segment deadlocks. Our patrol
 // cars additionally act as label (marker) carriers when departing an active
 // checkpoint, which requires them to traverse specific *directed edges* —
-// so we compute a closed walk covering every interior directed edge
-// (a superset of the paper's checkpoint cycle; see DESIGN.md §2.5).
+// so we compute a closed walk covering every interior directed edge. That
+// is a superset of the paper's checkpoint cycle: a cycle through every
+// checkpoint can still skip the one direction no traffic drives, and that
+// direction's marker would then never arrive
+// (Patrol.TwoWayRingCoversBothDirections, Patrol.ValidatorRejectsIncompleteCover,
+// Patrol.PatrolCarBreaksTheDeadlock).
 //
 // Construction: greedy uncovered-edge-first walking; when the current node
 // has no uncovered out-edge, stitch in the shortest path to the nearest node

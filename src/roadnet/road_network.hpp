@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "geom/polyline.hpp"
 #include "geom/vec2.hpp"
 #include "roadnet/types.hpp"
 #include "util/assert.hpp"
@@ -56,7 +55,6 @@ struct Segment {
   int lanes = 1;                // >= 1
   double speed_limit = 0.0;     // m/s
   EdgeId reverse;               // paired opposite segment; invalid for one-way
-  geom::Polyline shape;
 
   [[nodiscard]] bool is_gateway() const { return !from.valid() || !to.valid(); }
   [[nodiscard]] bool is_inbound_gateway() const { return !from.valid() && to.valid(); }

@@ -13,15 +13,7 @@ SimWorld::SimWorld(const experiment::ScenarioConfig& config, experiment::RunHook
     : config_(config), hooks_(std::move(hooks)) {
   wall_start_nanos_ = util::steady_now_nanos();
 
-  const int stride =
-      config_.mode == experiment::SystemMode::Open ? config_.gateway_stride : 0;
-  if (config_.map_factory) {
-    net_ = config_.map_factory(stride);
-  } else {
-    roadnet::ManhattanConfig map = config_.map;
-    map.gateway_stride = stride;
-    net_ = roadnet::make_manhattan_grid(map);
-  }
+  net_ = experiment::build_network(config_);
 
   traffic::SimConfig sim = config_.sim;
   sim.seed = util::derive_seed(config_.seed, "engine");

@@ -3,7 +3,12 @@
 // The paper's protocol moves three kinds of information on top of traffic:
 //  * the one-bit counting label (snapshot marker) — Alg. 1 phase 2;
 //  * spanning-tree feedback ("you are / are not my predecessor") — needed to
-//    concretize Alg. 2's successor set, see DESIGN.md §2.3;
+//    concretize Alg. 2's successor set. A checkpoint sends markers on every
+//    outbound direction but cannot see which neighbours they activated, so
+//    it waits on each direction for either a "not a child" ack or the
+//    child's report, which doubles as its ack
+//    (Checkpoint.ReportGatingFullLifecycle;
+//    ClosedCounting.SpanningForestHasOneTreePerSeed checks the forest);
 //  * counter reports accumulated up the tree — Alg. 2 / Alg. 4.
 // Reports and acks are routed checkpoint-to-checkpoint by store-carry-forward:
 // a checkpoint hands the message to a vehicle departing toward the next hop,

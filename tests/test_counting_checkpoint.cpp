@@ -56,7 +56,8 @@ TEST(Checkpoint, LabelActivationExcludesPredecessor) {
   EXPECT_EQ(cp.find_inbound(f.in_from(NodeId{1}, NodeId{2}))->state,
             DirectionState::Counting);
   // Markers go out on every outbound direction, including back to the
-  // predecessor (DESIGN.md §2.1).
+  // predecessor: only this checkpoint can stop the predecessor's inbound
+  // direction from here.
   for (const auto& out : cp.outbound()) EXPECT_TRUE(out.needs_label);
 }
 

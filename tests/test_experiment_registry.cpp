@@ -52,13 +52,10 @@ TEST(Registry, EveryFactoryBuildsAStronglyConnectedMap) {
       SCOPED_TRACE(entry.name);
       EXPECT_GT(config.vehicles_at_100pct, 0u);
       EXPECT_GT(config.time_limit_minutes, 0.0);
-      if (config.map_factory) {
-        const int stride = config.mode == SystemMode::Open ? config.gateway_stride : 0;
-        const roadnet::RoadNetwork net = config.map_factory(stride);
-        EXPECT_GE(net.num_intersections(), 3u);
-        EXPECT_TRUE(roadnet::is_strongly_connected(net));
-        EXPECT_EQ(net.is_open_system(), config.mode == SystemMode::Open);
-      }
+      const roadnet::RoadNetwork net = build_network(config);
+      EXPECT_GE(net.num_intersections(), 3u);
+      EXPECT_TRUE(roadnet::is_strongly_connected(net));
+      EXPECT_EQ(net.is_open_system(), config.mode == SystemMode::Open);
     }
   }
 }

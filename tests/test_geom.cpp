@@ -1,7 +1,6 @@
-// Vec2 and polyline geometry.
+// Vec2 geometry.
 #include <gtest/gtest.h>
 
-#include "geom/polyline.hpp"
 #include "geom/vec2.hpp"
 
 namespace ivc::geom {
@@ -11,55 +10,16 @@ TEST(Vec2, Arithmetic) {
   const Vec2 a{1, 2}, b{3, -1};
   EXPECT_EQ(a + b, (Vec2{4, 1}));
   EXPECT_EQ(a - b, (Vec2{-2, 3}));
-  EXPECT_EQ(a * 2.0, (Vec2{2, 4}));
-  EXPECT_EQ(2.0 * a, (Vec2{2, 4}));
-  EXPECT_EQ(a / 2.0, (Vec2{0.5, 1}));
 }
 
-TEST(Vec2, DotCrossLength) {
+TEST(Vec2, Length) {
   const Vec2 a{3, 4};
   EXPECT_DOUBLE_EQ(a.length(), 5.0);
   EXPECT_DOUBLE_EQ(a.length_sq(), 25.0);
-  EXPECT_DOUBLE_EQ(a.dot({1, 0}), 3.0);
-  EXPECT_DOUBLE_EQ(a.cross({1, 0}), -4.0);
 }
 
-TEST(Vec2, NormalizedAndPerp) {
-  const Vec2 a{10, 0};
-  EXPECT_EQ(a.normalized(), (Vec2{1, 0}));
-  EXPECT_EQ(a.perp(), (Vec2{0, 10}));
-  EXPECT_EQ(Vec2{}.normalized(), (Vec2{0, 0}));  // zero-safe
-}
-
-TEST(Vec2, DistanceAndLerp) {
+TEST(Vec2, Distance) {
   EXPECT_DOUBLE_EQ(distance({0, 0}, {3, 4}), 5.0);
-  EXPECT_EQ(lerp({0, 0}, {10, 20}, 0.5), (Vec2{5, 10}));
-}
-
-TEST(Polyline, LengthOfSegments) {
-  const Polyline line({{0, 0}, {3, 0}, {3, 4}});
-  EXPECT_DOUBLE_EQ(line.length(), 7.0);
-}
-
-TEST(Polyline, AtInterpolatesAlongArcLength) {
-  const Polyline line({{0, 0}, {10, 0}, {10, 10}});
-  EXPECT_EQ(line.at(0.0), (Vec2{0, 0}));
-  EXPECT_EQ(line.at(5.0), (Vec2{5, 0}));
-  EXPECT_EQ(line.at(10.0), (Vec2{10, 0}));
-  EXPECT_EQ(line.at(15.0), (Vec2{10, 5}));
-  EXPECT_EQ(line.at(20.0), (Vec2{10, 10}));
-}
-
-TEST(Polyline, AtClampsOutOfRange) {
-  const Polyline line({{0, 0}, {10, 0}});
-  EXPECT_EQ(line.at(-5.0), (Vec2{0, 0}));
-  EXPECT_EQ(line.at(50.0), (Vec2{10, 0}));
-}
-
-TEST(Polyline, TangentPerSegment) {
-  const Polyline line({{0, 0}, {10, 0}, {10, 10}});
-  EXPECT_EQ(line.tangent_at(5.0), (Vec2{1, 0}));
-  EXPECT_EQ(line.tangent_at(15.0), (Vec2{0, 1}));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // SimEngine behaviour: spawning, FIFO, conservation, determinism,
-// admission discipline, gateways, overtake detection.
+// admission discipline, gateways.
 #include <gtest/gtest.h>
 
 #include <algorithm>
