@@ -26,6 +26,10 @@ bool check_harness_options(const HarnessOptions& opts) {
     std::cerr << "error: --threads must be in 0.." << kMaxThreads << "\n";
     return false;
   }
+  if (opts.time_limit_min < 0 || opts.time_limit_min > kMaxTimeLimitMin) {
+    std::cerr << "error: --time-limit must be in 0.." << kMaxTimeLimitMin << "\n";
+    return false;
+  }
   return true;
 }
 

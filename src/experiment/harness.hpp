@@ -34,15 +34,18 @@ struct HarnessOptions {
 // Registers the common flags on an existing Cli.
 void add_harness_options(util::Cli& cli, HarnessOptions* out);
 
-// Upper bounds of the harness CLIs' counts: run_sweep's replica index fills
-// the low 8 bits of each job's seed salt, and the pool starts one worker per
-// thread asked for.
+// Upper bounds of the harness CLIs' values: run_sweep's replica index fills
+// the low 8 bits of each job's seed salt, the pool starts one worker per
+// thread asked for, and a sim-time limit in minutes must stay far inside
+// SimTime's int64 milliseconds (the longest scenario limit is 1,440).
 inline constexpr std::int64_t kMaxReplicas = 256;
 inline constexpr std::int64_t kMaxThreads = 256;
+inline constexpr std::int64_t kMaxTimeLimitMin = 1'000'000;
 
-// Rejects, before any sweep starts, --replicas outside 1..kMaxReplicas and
-// --threads outside 0..kMaxThreads. Prints `error: --<flag> ...` and returns
-// false on a bad value.
+// Rejects, before any sweep starts, --replicas outside 1..kMaxReplicas,
+// --threads outside 0..kMaxThreads and --time-limit outside
+// 0..kMaxTimeLimitMin. Prints `error: --<flag> ...` and returns false on a
+// bad value.
 [[nodiscard]] bool check_harness_options(const HarnessOptions& opts);
 
 // Shrink a scenario so a single run completes in well under a second: a

@@ -12,7 +12,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "counting/config.hpp"
 #include "counting/protocol.hpp"
@@ -103,27 +102,13 @@ struct RunMetrics {
   double wall_seconds = 0.0;
 };
 
-// Instrumentation points for a scenario run. The differential-testing
-// harness (src/testing/) uses these to run the same fully-wired scenario —
-// demand, protocol, oracle, patrol — on a substitute engine (the reference
-// kernel, or a deliberately broken engine under test), to fingerprint the
-// event stream, and to validate every route continuation. All members are
-// optional; a default-constructed RunHooks reproduces run_scenario exactly.
-struct RunHooks {
-  // Engine factory; defaults to a plain SimEngine. The returned engine must
-  // be freshly constructed from exactly `net` and `sim` (the runner derives
-  // `sim.seed` before calling).
-  std::function<std::unique_ptr<traffic::SimEngine>(const roadnet::RoadNetwork& net,
-                                                    traffic::SimConfig sim)>
-      make_engine;
-  // Registered on the engine after the protocol (events are delivered by
-  // value, so observer order cannot change what each observer sees).
-  std::vector<traffic::SimObserver*> observers;
-  // Wraps every demand-planned route continuation; may inspect/validate and
-  // must return the route to use (normally `planned`, unmodified).
-  std::function<traffic::Route(traffic::VehicleId, roadnet::NodeId, traffic::Route planned)>
-      filter_continuation;
-};
+// Builds a run's engine in place of a plain SimEngine: the differential
+// harness (src/testing/) runs the same fully-wired scenario on the reference
+// kernel or on a deliberately broken engine. The engine must be freshly
+// constructed from exactly `net` and `sim` (the world derives `sim.seed`
+// before calling).
+using EngineFactory = std::function<std::unique_ptr<traffic::SimEngine>(
+    const roadnet::RoadNetwork& net, traffic::SimConfig sim)>;
 
 // The scenario's road network: its map factory's topology, or else the
 // Manhattan grid; border gateways only when the system runs open.

@@ -21,16 +21,15 @@
 #include "serve/world.hpp"
 #include "traffic/demand.hpp"
 #include "traffic/sim_engine.hpp"
-#include "util/string_util.hpp"
 
 namespace ivc::serve {
 
-// ---- ByteWriter -------------------------------------------------------------
+// ---- Writer -----------------------------------------------------------------
 
-std::uint8_t* ByteWriter::extend(std::size_t n) {
-  const std::size_t at = out_.size();
-  out_.resize(at + n);
-  return out_.data() + at;
+std::uint8_t* Writer::extend(std::vector<std::uint8_t>& out, std::size_t n) {
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  return out.data() + at;
 }
 
 // ---- Snapshot container -----------------------------------------------------
@@ -60,50 +59,41 @@ bool Snapshot::has_section(std::string_view name) const {
   return false;
 }
 
-std::vector<std::uint8_t> Snapshot::to_bytes() const {
-  std::size_t size = 4 * 4;  // magic, version, endian mark, section count
-  for (const Section& s : sections_) size += 4 + s.name.size() + 4 + s.payload.size();
-  std::vector<std::uint8_t> out;
-  ByteWriter w(out);
-  w.reserve(size);
-  w.u32(kMagic);
-  w.u32(kVersion);
-  w.u32(kEndianMark);
-  w.u32(static_cast<std::uint32_t>(sections_.size()));
-  for (const Section& s : sections_) {
-    w.str(s.name);
-    w.u32(static_cast<std::uint32_t>(s.payload.size()));
-    w.bytes(s.payload.data(), s.payload.size());
+template <class Ar>
+void Snapshot::visit(Ar& ar, ArchiveRef<Ar, Snapshot> snap) {
+  visit_envelope(ar, kMagic, kVersion, "snapshot");
+  auto count = static_cast<std::uint32_t>(snap.sections_.size());
+  ar.field(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    if constexpr (Ar::kLoading) {
+      Section s;
+      ar.field(s.name);
+      // add_section resets a section it already has: a repeated name would
+      // let the later payload silently replace the earlier one.
+      if (snap.has_section(s.name)) {
+        throw SnapshotError("snapshot repeats section '" + s.name + "'");
+      }
+      ar.field(s.payload);
+      snap.sections_.push_back(std::move(s));
+    } else {
+      ar.field(snap.sections_[i].name);
+      ar.field(snap.sections_[i].payload);
+    }
   }
+}
+
+std::vector<std::uint8_t> Snapshot::to_bytes() const {
+  std::vector<std::uint8_t> out;
+  Writer::write(out, [this](auto& ar) { visit(ar, *this); });
   return out;
 }
 
 Snapshot Snapshot::from_bytes(const std::vector<std::uint8_t>& bytes) {
-  ByteReader r(bytes);
-  const std::uint32_t magic = r.u32();
-  if (magic != kMagic) throw SnapshotError("not an IVC snapshot (bad magic)");
-  const std::uint32_t version = r.u32();
-  if (version != kVersion) {
-    throw SnapshotError(util::format(
-        "snapshot format version %u is not the supported version %u; "
-        "re-record the snapshot with this build",
-        version, kVersion));
-  }
-  const std::uint32_t endian = r.u32();
-  if (endian != kEndianMark) throw SnapshotError("snapshot endian mark corrupt");
-  const std::uint32_t count = r.u32();
+  // The container holds no segment or intersection ids.
+  Reader reader(bytes, 0, 0);
   Snapshot snap;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::string name = r.str();
-    // add_section resets a section it already has: a repeated name would
-    // let the later payload silently replace the earlier one.
-    if (snap.has_section(name)) {
-      throw SnapshotError("snapshot repeats section '" + name + "'");
-    }
-    const std::uint32_t len = r.u32();
-    snap.add_section(name) = r.bytes(len);
-  }
-  r.expect_end("snapshot");
+  visit(reader, snap);
+  reader.expect_end("snapshot");
   return snap;
 }
 

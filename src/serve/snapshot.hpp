@@ -1,23 +1,27 @@
 // Versioned engine-state snapshots (serving layer).
 //
-// A Snapshot is a set of named sections, each an opaque byte payload
-// written through an explicit little-endian codec — the format is
-// endian-stable by construction (every integer is stored with shifts into
-// bytes of known significance, doubles as their IEEE-754 bit patterns),
-// never a memory dump. Sections keep producers independent: the engine,
-// demand model, protocol, oracle, patrol fleet and world each own one
-// section, and restore looks its section up by name instead of trusting a
-// global offset.
+// A Snapshot is a set of named sections, each an opaque byte payload.
+// Sections keep producers independent: the engine, demand model, protocol,
+// oracle, patrol fleet and world each own one section, and restore looks
+// its section up by name instead of trusting a global offset.
+//
+// One codec: every byte of a snapshot, and of a trace (trace.hpp), is
+// written by the Writer archive below and read by the Reader. The format is
+// explicit little-endian and endian-stable by construction (every integer
+// is stored with shifts into bytes of known significance, doubles as their
+// IEEE-754 bit patterns), never a memory dump.
 //
 // One field list per section: each component's SnapshotAccess::visit names
 // every field once, and three archives run it. A Sizer pass adds up the
-// section's encoded bytes; a Writer pass fills one ByteWriter::Record of
-// exactly that size (one allocation per section; a visit that writes other
-// than it sized aborts); a Reader pass decodes and checks. The checks live
-// in the archives' typed ops, so each is written once: a count whose
-// elements cannot fit in the bytes left, a segment or intersection id
-// outside the world, an enumeration or flag byte out of range, map keys out
-// of order and a config echo that differs all throw SnapshotError.
+// section's encoded bytes; a Writer pass appends exactly that many bytes in
+// one go and fills them (a visit that writes other than it sized aborts); a
+// Reader pass decodes and checks. The checks live in the archives' typed
+// ops, so each is written once: a truncated value, a count whose elements
+// cannot fit in the bytes left, a segment or intersection id outside the
+// world, an enumeration or flag byte out of range, map keys out of order and
+// a config echo that differs all throw SnapshotError. The container is one
+// more visit: the envelope (magic, version, endian mark), a u32 section
+// count, then each section's name and payload as u32-length byte strings.
 //
 // Versioning contract: kVersion is bumped on ANY layout change, and
 // from_bytes rejects a mismatched version loudly (SnapshotError) — an
@@ -31,6 +35,7 @@
 // uninterrupted run's event stream bit for bit.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -46,6 +51,7 @@
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"
+#include "util/string_util.hpp"
 #include "v2x/message.hpp"
 
 namespace ivc::traffic {
@@ -65,184 +71,6 @@ class SnapshotError : public std::runtime_error {
   explicit SnapshotError(const std::string& what) : std::runtime_error(what) {}
 };
 
-// Stores `v` at `at` as sizeof(U) little-endian bytes.
-template <class U>
-inline void store_le(std::uint8_t* at, U v) {
-  for (std::size_t i = 0; i < sizeof(U); ++i) at[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-// The value writers ByteWriter and ByteWriter::Record share; `Derived`
-// supplies `std::uint8_t* take(std::size_t n)`, the next n bytes to fill.
-template <class Derived>
-class LittleEndianWriter {
- public:
-  void u8(std::uint8_t v) { put(v); }
-  void u16(std::uint16_t v) { put(v); }
-  void u32(std::uint32_t v) { put(v); }
-  void u64(std::uint64_t v) { put(v); }
-  void i32(std::int32_t v) { put(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { put(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    put(bits);
-  }
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void bytes(const std::uint8_t* data, std::size_t n) {
-    if (n > 0) std::memcpy(static_cast<Derived*>(this)->take(n), data, n);
-  }
-  void str(std::string_view s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
-  }
-
- private:
-  friend Derived;
-  LittleEndianWriter() = default;
-
-  template <class U>
-  void put(U v) {
-    store_le(static_cast<Derived*>(this)->take(sizeof(U)), v);
-  }
-};
-
-// Append-only little-endian encoder over a caller-owned byte vector.
-class ByteWriter : public LittleEndianWriter<ByteWriter> {
- public:
-  // A cursor over `n` bytes that record(n) has already appended. It points
-  // into the writer's buffer, which the next extend() may move: finish one
-  // record before starting the next. Writing past the end, or leaving
-  // bytes unwritten, is a bug in the caller's size and aborts.
-  class Record : public LittleEndianWriter<Record> {
-   public:
-    Record(const Record&) = delete;
-    Record& operator=(const Record&) = delete;
-    ~Record() { IVC_ASSERT_MSG(at_ == end_, "snapshot record left bytes unwritten"); }
-
-   private:
-    friend class ByteWriter;
-    friend class LittleEndianWriter<Record>;
-    Record(std::uint8_t* at, std::size_t n) : at_(at), end_(at + n) {}
-    std::uint8_t* take(std::size_t n) {
-      IVC_ASSERT_MSG(n <= static_cast<std::size_t>(end_ - at_), "snapshot record overrun");
-      return std::exchange(at_, at_ + n);
-    }
-    std::uint8_t* at_;
-    std::uint8_t* end_;
-  };
-
-  explicit ByteWriter(std::vector<std::uint8_t>& out) : out_(out) {}
-
-  // Room for `n` more bytes, so the appends that follow never reallocate.
-  void reserve(std::size_t n) { out_.reserve(out_.size() + n); }
-  [[nodiscard]] Record record(std::size_t n) { return Record(extend(n), n); }
-
- private:
-  friend class LittleEndianWriter<ByteWriter>;
-  std::uint8_t* take(std::size_t n) { return extend(n); }
-  // Appends `n` bytes and returns where they start. Out of line: gcc 12
-  // inlining the vector growth into a caller raises a false-positive
-  // -Wstringop-overflow.
-  std::uint8_t* extend(std::size_t n);
-  std::vector<std::uint8_t>& out_;
-};
-
-// Sequential little-endian decoder; every overrun throws SnapshotError
-// instead of reading garbage.
-class ByteReader {
- public:
-  explicit ByteReader(const std::vector<std::uint8_t>& in) : in_(in) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return in_[pos_++];
-  }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(le(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(le(4)); }
-  std::uint64_t u64() { return le(8); }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  bool boolean() { return u8() != 0; }
-  std::vector<std::uint8_t> bytes(std::size_t n) {
-    need(n);
-    std::vector<std::uint8_t> out(in_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                  in_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return out;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(in_.data()) + pos_, n);
-    pos_ += n;
-    return s;
-  }
-  // A u64 element count that sizes a container or a loop. Each element
-  // takes at least `min_element_bytes` (>= 1) of encoding, so a count
-  // whose elements cannot fit in the bytes left is corrupt: it throws
-  // SnapshotError here, before the caller reserves or loops on it.
-  std::size_t count(std::size_t min_element_bytes) {
-    const std::uint64_t n = u64();
-    if (n > (in_.size() - pos_) / min_element_bytes) {
-      throw SnapshotError("snapshot length prefix exceeds the remaining bytes");
-    }
-    return static_cast<std::size_t>(n);
-  }
-
-  [[nodiscard]] std::size_t remaining() const { return in_.size() - pos_; }
-  [[nodiscard]] bool at_end() const { return pos_ == in_.size(); }
-  void expect_end(const char* what) const {
-    if (!at_end()) throw SnapshotError(std::string(what) + ": trailing bytes in section");
-  }
-
- private:
-  std::uint64_t le(int bytes) {
-    need(static_cast<std::size_t>(bytes));
-    std::uint64_t v = 0;
-    for (int i = 0; i < bytes; ++i) {
-      v |= static_cast<std::uint64_t>(in_[pos_ + static_cast<std::size_t>(i)]) << (8 * i);
-    }
-    pos_ += static_cast<std::size_t>(bytes);
-    return v;
-  }
-  void need(std::size_t n) const {
-    if (n > in_.size() - pos_) throw SnapshotError("snapshot truncated");
-  }
-  const std::vector<std::uint8_t>& in_;
-  std::size_t pos_ = 0;
-};
-
-class Snapshot {
- public:
-  static constexpr std::uint32_t kMagic = 0x53435649;    // "IVCS", little-endian
-  static constexpr std::uint32_t kEndianMark = 0x01020304;
-  // Bump on ANY section-layout change; from_bytes rejects mismatches.
-  static constexpr std::uint32_t kVersion = 3;
-
-  // Creates (or resets) the named section and returns its payload buffer.
-  std::vector<std::uint8_t>& add_section(std::string_view name);
-  [[nodiscard]] const std::vector<std::uint8_t>& section(std::string_view name) const;
-  [[nodiscard]] bool has_section(std::string_view name) const;
-  [[nodiscard]] std::size_t section_count() const { return sections_.size(); }
-
-  // Wire format: header {magic, version, endian mark} + section table.
-  [[nodiscard]] std::vector<std::uint8_t> to_bytes() const;
-  [[nodiscard]] static Snapshot from_bytes(const std::vector<std::uint8_t>& bytes);
-
- private:
-  struct Section {
-    std::string name;
-    std::vector<std::uint8_t> payload;
-  };
-  std::vector<Section> sections_;
-};
-
 class SimWorld;
 class Sizer;
 
@@ -256,8 +84,9 @@ constexpr bool kFixedSize =
 // The ops a visit may call; every archive offers exactly these, so one
 // field list serves all three. Saving archives (Sizer, Writer) take each
 // value by const reference, the Reader by reference, and it overwrites it.
-// `Derived` supplies scalar(v) for the eight scalar types and text(s) for
-// strings; the Reader also checked_count(min) and checked(id, may_be_invalid).
+// `Derived` supplies scalar(v) for the eight scalar types and
+// byte_string(b) for strings and byte vectors; the Reader also
+// checked_count(min) and checked(id, may_be_invalid).
 template <class Derived, bool Loading>
 class Archive {
  public:
@@ -272,7 +101,8 @@ class Archive {
     self().scalar(v);
   }
   // A u32 length, then the bytes.
-  void field(Ref<std::string> s) { self().text(s); }
+  void field(Ref<std::string> s) { self().byte_string(s); }
+  void field(Ref<std::vector<std::uint8_t>> b) { self().byte_string(b); }
   void field(Ref<util::SimTime> t) {
     std::int64_t ms = t.millis();
     field(ms);
@@ -448,7 +278,10 @@ class Sizer : public Archive<Sizer, false> {
   void scalar(const U& /*value*/) {
     bytes_ += sizeof(U);
   }
-  void text(const std::string& s) { bytes_ += sizeof(std::uint32_t) + s.size(); }
+  template <class Bytes>
+  void byte_string(const Bytes& b) {
+    bytes_ += sizeof(std::uint32_t) + b.size();
+  }
   std::size_t bytes_ = 0;
 };
 
@@ -461,63 +294,104 @@ std::size_t Archive<Derived, Loading>::min_bytes(const Elem& elem) {
   return sizer.size();
 }
 
-// Encodes a visit into one ByteWriter::Record, sized by a Sizer pass.
+// Encodes a visit into bytes sized by a Sizer pass: each integer as its
+// bytes in increasing significance, a double as its IEEE-754 bit pattern
+// and a bool as one byte, 0 or 1.
 class Writer : public Archive<Writer, false> {
  public:
-  // Appends what `visit(archive)` encodes to `out`. A visit that writes
-  // more or less than it sized aborts. Flattened so the archive never
-  // escapes: its record cursor then stays in a register instead of making
-  // a round trip through memory for every value written.
+  // Appends what `visit(archive)` encodes to `out`, which grows once. A
+  // visit that writes more or less than it sized aborts. Flattened so the
+  // archive never escapes: its cursor then stays in a register instead of
+  // making a round trip through memory for every value written.
   template <class Visit>
   [[gnu::flatten]] static void write(std::vector<std::uint8_t>& out, const Visit& visit) {
     Sizer sizer;
     visit(sizer);
-    ByteWriter bytes(out);
-    Writer writer(bytes, sizer.size());
+    Writer writer(extend(out, sizer.size()), sizer.size());
     visit(writer);
+    IVC_ASSERT_MSG(writer.at_ == writer.end_, "snapshot record left bytes unwritten");
   }
 
  private:
   friend class Archive<Writer, false>;
-  Writer(ByteWriter& out, std::size_t size) : rec_(out.record(size)) {}
-  void scalar(std::uint8_t v) { rec_.u8(v); }
-  void scalar(std::uint16_t v) { rec_.u16(v); }
-  void scalar(std::uint32_t v) { rec_.u32(v); }
-  void scalar(std::uint64_t v) { rec_.u64(v); }
-  void scalar(std::int32_t v) { rec_.i32(v); }
-  void scalar(std::int64_t v) { rec_.i64(v); }
-  void scalar(double v) { rec_.f64(v); }
-  void scalar(bool v) { rec_.boolean(v); }
-  void text(const std::string& s) { rec_.str(s); }
-  ByteWriter::Record rec_;
+  Writer(std::uint8_t* at, std::size_t n) : at_(at), end_(at + n) {}
+  // Appends `n` bytes to `out` and returns where they start. Out of line:
+  // gcc 12 inlining the vector growth into a caller raises a false-positive
+  // -Wstringop-overflow.
+  static std::uint8_t* extend(std::vector<std::uint8_t>& out, std::size_t n);
+  // The next `n` bytes to fill.
+  std::uint8_t* take(std::size_t n) {
+    IVC_ASSERT_MSG(n <= static_cast<std::size_t>(end_ - at_), "snapshot record overrun");
+    return std::exchange(at_, at_ + n);
+  }
+  template <class U>
+  void scalar(U v) {
+    if constexpr (std::is_same_v<U, double>) {
+      scalar(std::bit_cast<std::uint64_t>(v));
+    } else if constexpr (std::is_same_v<U, bool>) {
+      scalar(static_cast<std::uint8_t>(v ? 1 : 0));
+    } else {
+      const auto bits = static_cast<std::make_unsigned_t<U>>(v);
+      std::uint8_t* at = take(sizeof(U));
+      for (std::size_t i = 0; i < sizeof(U); ++i) {
+        at[i] = static_cast<std::uint8_t>(bits >> (8 * i));
+      }
+    }
+  }
+  template <class Bytes>
+  void byte_string(const Bytes& b) {
+    scalar(static_cast<std::uint32_t>(b.size()));
+    if (!b.empty()) std::memcpy(take(b.size()), b.data(), b.size());
+  }
+  std::uint8_t* at_;
+  std::uint8_t* end_;
 };
 
-// Decodes a visit from one section; whatever it cannot accept throws
-// SnapshotError.
+// Decodes a visit from bytes; whatever it cannot accept, a read past the
+// end included, throws SnapshotError.
 class Reader : public Archive<Reader, true> {
  public:
   // `nodes` and `segments` bound every NodeId and EdgeId decoded.
   Reader(const std::vector<std::uint8_t>& in, std::size_t nodes, std::size_t segments)
       : in_(in), nodes_(nodes), segments_(segments) {}
-  [[nodiscard]] std::size_t remaining() const { return in_.remaining(); }
-  void expect_end(const char* what) const { in_.expect_end(what); }
+  [[nodiscard]] std::size_t remaining() const { return in_.size() - pos_; }
+  void expect_end(const char* what) const {
+    if (pos_ != in_.size()) throw SnapshotError(std::string(what) + ": trailing bytes in section");
+  }
 
  private:
   friend class Archive<Reader, true>;
-  void scalar(std::uint8_t& v) { v = in_.u8(); }
-  void scalar(std::uint16_t& v) { v = in_.u16(); }
-  void scalar(std::uint32_t& v) { v = in_.u32(); }
-  void scalar(std::uint64_t& v) { v = in_.u64(); }
-  void scalar(std::int32_t& v) { v = in_.i32(); }
-  void scalar(std::int64_t& v) { v = in_.i64(); }
-  void scalar(double& v) { v = in_.f64(); }
-  void scalar(bool& v) {
-    const std::uint8_t byte = in_.u8();
-    if (byte > 1) throw SnapshotError("snapshot flag byte is neither 0 nor 1");
-    v = byte == 1;
+  template <class U>
+  void scalar(U& v) {
+    if constexpr (std::is_same_v<U, double>) {
+      v = std::bit_cast<double>(le(sizeof(std::uint64_t)));
+    } else if constexpr (std::is_same_v<U, bool>) {
+      const std::uint64_t byte = le(1);
+      if (byte > 1) throw SnapshotError("snapshot flag byte is neither 0 nor 1");
+      v = byte == 1;
+    } else {
+      v = static_cast<U>(le(sizeof(U)));
+    }
   }
-  void text(std::string& s) { s = in_.str(); }
-  std::size_t checked_count(std::size_t min_element_bytes) { return in_.count(min_element_bytes); }
+  template <class Bytes>
+  void byte_string(Bytes& b) {
+    const auto n = static_cast<std::size_t>(le(sizeof(std::uint32_t)));
+    need(n);
+    const std::uint8_t* at = in_.data() + pos_;
+    b.assign(at, at + n);
+    pos_ += n;
+  }
+  // A u64 element count that sizes a container or a loop. Each element
+  // takes at least `min_element_bytes` (>= 1) of encoding, so a count
+  // whose elements cannot fit in the bytes left is corrupt: it throws
+  // here, before the caller reserves or loops on it.
+  std::size_t checked_count(std::size_t min_element_bytes) {
+    const std::uint64_t n = le(sizeof(std::uint64_t));
+    if (n > remaining() / min_element_bytes) {
+      throw SnapshotError("snapshot length prefix exceeds the remaining bytes");
+    }
+    return static_cast<std::size_t>(n);
+  }
   template <class Id>
   Id checked(Id id, bool may_be_invalid) const {
     const std::size_t limit = std::is_same_v<Id, roadnet::EdgeId> ? segments_ : nodes_;
@@ -526,13 +400,75 @@ class Reader : public Archive<Reader, true> {
     }
     return id;
   }
-  ByteReader in_;
+  // The next `bytes` bytes as a little-endian integer.
+  std::uint64_t le(std::size_t bytes) {
+    need(bytes);
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < bytes; ++i) v |= std::uint64_t{in_[pos_ + i]} << (8 * i);
+    pos_ += bytes;
+    return v;
+  }
+  void need(std::size_t n) const {
+    if (n > in_.size() - pos_) throw SnapshotError("snapshot truncated");
+  }
+  const std::vector<std::uint8_t>& in_;
+  std::size_t pos_ = 0;
   std::size_t nodes_;
   std::size_t segments_;
 };
 
 template <class Ar, class T>
 using ArchiveRef = typename Ar::template Ref<T>;
+
+class Snapshot {
+ public:
+  static constexpr std::uint32_t kMagic = 0x53435649;    // "IVCS", little-endian
+  static constexpr std::uint32_t kEndianMark = 0x01020304;
+  // Bump on ANY section-layout change; from_bytes rejects mismatches.
+  static constexpr std::uint32_t kVersion = 3;
+
+  // Creates (or resets) the named section and returns its payload buffer.
+  std::vector<std::uint8_t>& add_section(std::string_view name);
+  [[nodiscard]] const std::vector<std::uint8_t>& section(std::string_view name) const;
+  [[nodiscard]] bool has_section(std::string_view name) const;
+  [[nodiscard]] std::size_t section_count() const { return sections_.size(); }
+
+  // Wire format: the envelope, then the section table.
+  [[nodiscard]] std::vector<std::uint8_t> to_bytes() const;
+  [[nodiscard]] static Snapshot from_bytes(const std::vector<std::uint8_t>& bytes);
+
+ private:
+  struct Section {
+    std::string name;
+    std::vector<std::uint8_t> payload;
+  };
+  // The container's field list (src/serve/snapshot.cpp).
+  template <class Ar>
+  static void visit(Ar& ar, ArchiveRef<Ar, Snapshot> snap);
+  std::vector<Section> sections_;
+};
+
+// The header a snapshot and a trace both open with: the file kind's magic
+// and format version, then the endian mark. The Reader rejects any other
+// value of each; `kind` names the file in the message.
+template <class Ar>
+void visit_envelope(Ar& ar, std::uint32_t magic, std::uint32_t version, const char* kind) {
+  std::uint32_t value = magic;
+  ar.field(value);
+  if (value != magic) throw SnapshotError(util::format("not an IVC %s (bad magic)", kind));
+  value = version;
+  ar.field(value);
+  if (value != version) {
+    throw SnapshotError(util::format(
+        "%s format version %u is not the supported version %u; re-record the %s with this build",
+        kind, value, version, kind));
+  }
+  value = Snapshot::kEndianMark;
+  ar.field(value);
+  if (value != Snapshot::kEndianMark) {
+    throw SnapshotError(util::format("%s endian mark corrupt", kind));
+  }
+}
 
 // The one type the stateful components befriend. Each component's field
 // list, which must mirror its data members exactly, is its visit here,

@@ -141,11 +141,9 @@ std::string TraceSource::describe() const {
 std::vector<std::uint8_t> record_trace(const TraceSource& source) {
   const experiment::ScenarioConfig config = resolve_config(source);
 
+  SimWorld world(config);
   testing::EventStreamHasher hasher;
-  experiment::RunHooks hooks;
-  hooks.observers.push_back(&hasher);
-  SimWorld world(config, hooks);
-  hasher.bind(&world.engine());
+  hasher.attach(world.engine());
 
   std::vector<StepRecord> records;
   while (!world.done()) {
@@ -158,9 +156,7 @@ std::vector<std::uint8_t> record_trace(const TraceSource& source) {
 
   std::vector<std::uint8_t> bytes;
   Writer::write(bytes, [&](auto& ar) {
-    ar.echo(kTraceMagic, "trace magic");
-    ar.echo(kTraceVersion, "trace version");
-    ar.echo(Snapshot::kEndianMark, "trace endianness mark");
+    visit_envelope(ar, kTraceMagic, kTraceVersion, "trace");
     visit_source(ar, source);
     ar.sequence(records, visit_record);
     visit_digest(ar, digest);
@@ -171,22 +167,7 @@ std::vector<std::uint8_t> record_trace(const TraceSource& source) {
 ReplayReport replay_trace(const std::vector<std::uint8_t>& bytes) {
   // Traces hold no segment or intersection ids.
   Reader r(bytes, 0, 0);
-  std::uint32_t magic = 0;
-  std::uint32_t version = 0;
-  std::uint32_t endian = 0;
-  r.field(magic);
-  if (magic != kTraceMagic) throw SnapshotError("not an IVC trace (bad magic)");
-  r.field(version);
-  if (version != kTraceVersion) {
-    throw SnapshotError(util::format(
-        "trace format version %u is not the supported version %u; re-record the trace "
-        "with this build",
-        version, kTraceVersion));
-  }
-  r.field(endian);
-  if (endian != Snapshot::kEndianMark) {
-    throw SnapshotError("trace endianness mark is corrupt");
-  }
+  visit_envelope(r, kTraceMagic, kTraceVersion, "trace");
   TraceSource source;
   visit_source(r, source);
   std::uint64_t record_count = 0;
@@ -208,11 +189,9 @@ ReplayReport replay_trace(const std::vector<std::uint8_t>& bytes) {
   }
 
   const experiment::ScenarioConfig config = resolve_config(source);
+  SimWorld world(config);
   testing::EventStreamHasher hasher;
-  experiment::RunHooks hooks;
-  hooks.observers.push_back(&hasher);
-  SimWorld world(config, hooks);
-  hasher.bind(&world.engine());
+  hasher.attach(world.engine());
 
   ReplayReport report;
   for (std::uint64_t i = 0; i < record_count; ++i) {

@@ -1,24 +1,22 @@
 #include "serve/world.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "roadnet/patrol_planner.hpp"
 #include "util/stats.hpp"
 
 namespace ivc::serve {
 
-SimWorld::SimWorld(const experiment::ScenarioConfig& config, experiment::RunHooks hooks,
-                   Mode mode)
-    : config_(config), hooks_(std::move(hooks)) {
+SimWorld::SimWorld(const experiment::ScenarioConfig& config, Mode mode,
+                   const experiment::EngineFactory& make_engine)
+    : config_(config) {
   wall_start_nanos_ = util::steady_now_nanos();
 
   net_ = experiment::build_network(config_);
 
   traffic::SimConfig sim = config_.sim;
   sim.seed = util::derive_seed(config_.seed, "engine");
-  engine_ = hooks_.make_engine ? hooks_.make_engine(net_, sim)
-                               : std::make_unique<traffic::SimEngine>(net_, sim);
+  engine_ = make_engine ? make_engine(net_, sim) : std::make_unique<traffic::SimEngine>(net_, sim);
   engine_->set_perf(config_.perf);
 
   router_ = std::make_unique<traffic::Router>(net_, util::derive_seed(config_.seed, "router"));
@@ -29,15 +27,9 @@ SimWorld::SimWorld(const experiment::ScenarioConfig& config, experiment::RunHook
   demand_config.arrival_rate_at_100pct = config_.arrival_rate_at_100pct;
   demand_config.seed = util::derive_seed(config_.seed, "demand");
   demand_ = std::make_unique<traffic::DemandModel>(*engine_, *router_, demand_config);
-  if (hooks_.filter_continuation) {
-    engine_->set_route_planner([this](traffic::VehicleId veh, roadnet::NodeId node) {
-      return hooks_.filter_continuation(veh, node, demand_->plan_continuation(veh, node));
-    });
-  } else {
-    engine_->set_route_planner([this](traffic::VehicleId veh, roadnet::NodeId node) {
-      return demand_->plan_continuation(veh, node);
-    });
-  }
+  engine_->set_route_planner([this](traffic::VehicleId veh, roadnet::NodeId node) {
+    return demand_->plan_continuation(veh, node);
+  });
 
   counting::ProtocolConfig protocol_config = config_.protocol;
   protocol_config.seed = util::derive_seed(config_.seed, "protocol");
@@ -45,7 +37,6 @@ SimWorld::SimWorld(const experiment::ScenarioConfig& config, experiment::RunHook
   oracle_ = std::make_unique<counting::Oracle>(
       *engine_, surveillance::Recognizer(protocol_config.target));
   protocol_->set_oracle(oracle_.get());
-  for (traffic::SimObserver* obs : hooks_.observers) engine_->add_observer(obs);
 
   if (config_.num_patrol > 0) {
     patrol_ = std::make_unique<counting::PatrolFleet>(

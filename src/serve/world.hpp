@@ -34,10 +34,10 @@ class SimWorld {
     Restore,  // build structure only; state arrives via restore()
   };
 
-  SimWorld(const experiment::ScenarioConfig& config, experiment::RunHooks hooks,
-           Mode mode = Mode::Fresh);
-  explicit SimWorld(const experiment::ScenarioConfig& config, Mode mode = Mode::Fresh)
-      : SimWorld(config, experiment::RunHooks{}, mode) {}
+  // `make_engine` builds the engine in place of a plain SimEngine (the
+  // differential harness's reference kernel or an engine under test).
+  explicit SimWorld(const experiment::ScenarioConfig& config, Mode mode = Mode::Fresh,
+                    const experiment::EngineFactory& make_engine = {});
 
   SimWorld(const SimWorld&) = delete;
   SimWorld& operator=(const SimWorld&) = delete;
@@ -74,7 +74,6 @@ class SimWorld {
   friend struct SnapshotAccess;
 
   experiment::ScenarioConfig config_;
-  experiment::RunHooks hooks_;
   std::uint64_t wall_start_nanos_ = 0;
 
   roadnet::RoadNetwork net_;

@@ -104,44 +104,33 @@ RunDigest finish_digest(serve::SimWorld& world, const EventStreamHasher& hasher)
   return digest;
 }
 
-RunDigest run_digest(const experiment::ScenarioConfig& config, const EngineFactory& factory,
-                     bool reference) {
-  EventStreamHasher hasher;
-  ReferenceKernel* kernel = nullptr;  // set when `reference`
-  const roadnet::RoadNetwork* netp = nullptr;
+std::unique_ptr<traffic::SimEngine> make_reference(const roadnet::RoadNetwork& net,
+                                                   traffic::SimConfig sim) {
+  return std::make_unique<ReferenceKernel>(net, sim);
+}
 
-  experiment::RunHooks hooks;
-  hooks.make_engine = [&](const roadnet::RoadNetwork& net, traffic::SimConfig sim)
-      -> std::unique_ptr<traffic::SimEngine> {
-    std::unique_ptr<traffic::SimEngine> engine;
-    if (reference) {
-      auto ref = std::make_unique<ReferenceKernel>(net, sim);
-      kernel = ref.get();
-      engine = std::move(ref);
-    } else if (factory) {
-      engine = factory(net, sim);
-    } else {
-      engine = std::make_unique<traffic::SimEngine>(net, sim);
-    }
-    hasher.bind(engine.get());
-    netp = &net;
-    return engine;
-  };
-  hooks.observers = {&hasher};
+RunDigest run_digest(const experiment::ScenarioConfig& config,
+                     const experiment::EngineFactory& factory, bool reference) {
+  EventStreamHasher hasher;
+  serve::SimWorld world(config, serve::SimWorld::Mode::Fresh,
+                        reference ? experiment::EngineFactory{make_reference} : factory);
+  hasher.attach(world.engine());
+  ReferenceKernel* kernel = nullptr;
   if (reference) {
+    kernel = &static_cast<ReferenceKernel&>(world.engine());
     // The slow run also cross-checks every route continuation against the
     // naive-Dijkstra reference (jitter-envelope cost bound + continuity).
-    hooks.filter_continuation = [&](traffic::VehicleId, roadnet::NodeId node,
-                                    traffic::Route planned) {
-      std::string fail = validate_continuation(*netp, node, planned);
-      if (!fail.empty() && kernel != nullptr) kernel->record_violation(std::move(fail));
+    world.engine().set_route_planner([&world, kernel](traffic::VehicleId veh,
+                                                      roadnet::NodeId node) {
+      traffic::Route planned = world.demand().plan_continuation(veh, node);
+      std::string fail = validate_continuation(world.network(), node, planned);
+      if (!fail.empty()) kernel->record_violation(std::move(fail));
       return planned;
-    };
+    });
   }
 
   // run_scenario's loop, with the aggregates checked after every step.
   std::string failure;
-  serve::SimWorld world(config, hooks);
   while (!world.done()) step_checked(world, failure);
   RunDigest digest = finish_digest(world, hasher);
   if (!failure.empty()) digest.violations.push_back(failure);
@@ -166,20 +155,11 @@ RunDigest run_digest(const experiment::ScenarioConfig& config, const EngineFacto
 // lands on the final step and the roundtrip degenerates to a save/restore
 // of the finished state (still a real check: finish() must agree).
 RunDigest run_digest_roundtrip(const experiment::ScenarioConfig& config,
-                               const EngineFactory& factory, std::uint64_t snapshot_at) {
+                               const experiment::EngineFactory& factory,
+                               std::uint64_t snapshot_at) {
   EventStreamHasher hasher;
-
-  experiment::RunHooks hooks;
-  hooks.make_engine = [&](const roadnet::RoadNetwork& net, traffic::SimConfig sim)
-      -> std::unique_ptr<traffic::SimEngine> {
-    std::unique_ptr<traffic::SimEngine> engine =
-        factory ? factory(net, sim) : std::make_unique<traffic::SimEngine>(net, sim);
-    hasher.bind(engine.get());
-    return engine;
-  };
-  hooks.observers = {&hasher};
-
-  serve::SimWorld original(config, hooks);
+  serve::SimWorld original(config, serve::SimWorld::Mode::Fresh, factory);
+  hasher.attach(original.engine());
   // Saving before the first step is illegal (the initial placement's spawn
   // events are still buffered), so the cut point is at least step 1.
   std::string failure;
@@ -192,7 +172,8 @@ RunDigest run_digest_roundtrip(const experiment::ScenarioConfig& config,
   std::vector<std::uint8_t> bytes = snap.to_bytes();
   const serve::Snapshot parsed = serve::Snapshot::from_bytes(bytes);
 
-  serve::SimWorld resumed(config, hooks, serve::SimWorld::Mode::Restore);
+  serve::SimWorld resumed(config, serve::SimWorld::Mode::Restore, factory);
+  hasher.attach(resumed.engine());
   resumed.restore(parsed);
   // A field the reader drops or the writer reorders need not change a
   // later event; re-saving the restored world catches it at the cut.
@@ -282,7 +263,7 @@ std::string compare(const RunDigest& fast, const RunDigest& ref) {
 }  // namespace
 
 RunDigest run_digest_fast(const experiment::ScenarioConfig& config,
-                          const EngineFactory& factory) {
+                          const experiment::EngineFactory& factory) {
   return run_digest(config, factory, /*reference=*/false);
 }
 
@@ -291,7 +272,7 @@ RunDigest run_digest_reference(const experiment::ScenarioConfig& config) {
 }
 
 DiffResult diff_config(const experiment::ScenarioConfig& config,
-                       const EngineFactory& fast_factory) {
+                       const experiment::EngineFactory& fast_factory) {
   DiffResult result;
   result.summary = config.describe();
   result.fast = run_digest_fast(config, fast_factory);
@@ -301,7 +282,7 @@ DiffResult diff_config(const experiment::ScenarioConfig& config,
   return result;
 }
 
-DiffResult diff_case(std::uint64_t case_seed, const EngineFactory& fast_factory) {
+DiffResult diff_case(std::uint64_t case_seed, const experiment::EngineFactory& fast_factory) {
   const FuzzCase fc = make_fuzz_case(case_seed);
   DiffResult result = diff_config(fc.config, fast_factory);
   result.case_seed = case_seed;
@@ -310,7 +291,8 @@ DiffResult diff_case(std::uint64_t case_seed, const EngineFactory& fast_factory)
 }
 
 DiffResult diff_config_snapshot(const experiment::ScenarioConfig& config,
-                                std::int64_t snapshot_at, const EngineFactory& fast_factory) {
+                                std::int64_t snapshot_at,
+                                const experiment::EngineFactory& fast_factory) {
   std::uint64_t cut = 0;
   if (snapshot_at > 0) {
     cut = static_cast<std::uint64_t>(snapshot_at);
@@ -334,7 +316,7 @@ DiffResult diff_config_snapshot(const experiment::ScenarioConfig& config,
 }
 
 DiffResult diff_case_snapshot(std::uint64_t case_seed, std::int64_t snapshot_at,
-                              const EngineFactory& fast_factory) {
+                              const experiment::EngineFactory& fast_factory) {
   const FuzzCase fc = make_fuzz_case(case_seed);
   DiffResult result = diff_config_snapshot(fc.config, snapshot_at, fast_factory);
   result.case_seed = case_seed;
@@ -363,7 +345,7 @@ std::optional<DiffResult> diff_named_scenario(std::string_view name) {
 }
 
 std::optional<ShrinkResult> shrink_case(std::uint64_t failing_seed,
-                                        const EngineFactory& fast_factory) {
+                                        const experiment::EngineFactory& fast_factory) {
   ShrinkResult out;
   DiffResult current = diff_case(failing_seed, fast_factory);
   ++out.attempts;

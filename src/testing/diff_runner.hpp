@@ -32,11 +32,16 @@ namespace ivc::testing {
 // plus an event-ledger interior population: +1 for every non-patrol spawn
 // on an interior edge, ±1 for every non-patrol transit across the
 // interior/gateway boundary — population derived from observable moments
-// only, the way the paper's checkpoints see the world. Bind the engine
-// before the first step (the ledger needs is_patrol/gateway lookups).
+// only, the way the paper's checkpoints see the world.
 class EventStreamHasher final : public traffic::SimObserver {
  public:
-  void bind(const traffic::SimEngine* engine) { engine_ = engine; }
+  // Subscribes to `engine`'s events, and reads it to keep the ledger. Attach
+  // before the first step: the first step's flush delivers the initial
+  // placement's spawns.
+  void attach(traffic::SimEngine& engine) {
+    engine_ = &engine;
+    engine.add_observer(this);
+  }
 
   void on_spawn(const traffic::SpawnEvent& e) override;
   void on_transit(const traffic::TransitEvent& e) override;
@@ -84,9 +89,6 @@ struct RunDigest {
   std::vector<std::uint8_t> snapshot_bytes;
 };
 
-using EngineFactory = std::function<std::unique_ptr<traffic::SimEngine>(
-    const roadnet::RoadNetwork&, traffic::SimConfig)>;
-
 struct DiffResult {
   std::uint64_t case_seed = 0;
   std::string summary;
@@ -98,7 +100,7 @@ struct DiffResult {
 
 // One scenario through the fast engine (or `factory`'s engine under test).
 [[nodiscard]] RunDigest run_digest_fast(const experiment::ScenarioConfig& config,
-                                        const EngineFactory& factory = {});
+                                        const experiment::EngineFactory& factory = {});
 // Same scenario through the reference kernel, with per-step invariant
 // recounts and naive-Dijkstra continuation validation.
 [[nodiscard]] RunDigest run_digest_reference(const experiment::ScenarioConfig& config);
@@ -107,11 +109,11 @@ struct DiffResult {
 // substitutes the engine under test (injected-bug engines in the harness's
 // self-tests); empty means the production SimEngine.
 [[nodiscard]] DiffResult diff_config(const experiment::ScenarioConfig& config,
-                                     const EngineFactory& fast_factory = {});
+                                     const experiment::EngineFactory& fast_factory = {});
 
 // Diff of a generated fuzz case (replayable from the seed alone).
 [[nodiscard]] DiffResult diff_case(std::uint64_t case_seed,
-                                   const EngineFactory& fast_factory = {});
+                                   const experiment::EngineFactory& fast_factory = {});
 
 // Snapshot-roundtrip mode: the scenario is run to step `snapshot_at`,
 // saved, the snapshot is serialized to bytes, parsed back, restored into a
@@ -125,12 +127,12 @@ struct DiffResult {
 // [1, max steps] from the config seed, so the seed bank probes a different
 // cut point per case. `fast_factory` substitutes the engine under test on
 // BOTH sides.
-[[nodiscard]] DiffResult diff_config_snapshot(const experiment::ScenarioConfig& config,
-                                              std::int64_t snapshot_at = -1,
-                                              const EngineFactory& fast_factory = {});
-[[nodiscard]] DiffResult diff_case_snapshot(std::uint64_t case_seed,
-                                            std::int64_t snapshot_at = -1,
-                                            const EngineFactory& fast_factory = {});
+[[nodiscard]] DiffResult diff_config_snapshot(
+    const experiment::ScenarioConfig& config, std::int64_t snapshot_at = -1,
+    const experiment::EngineFactory& fast_factory = {});
+[[nodiscard]] DiffResult diff_case_snapshot(
+    std::uint64_t case_seed, std::int64_t snapshot_at = -1,
+    const experiment::EngineFactory& fast_factory = {});
 // Same, for a builtin registry scenario at Smoke scale (nullopt when the
 // name is unknown).
 [[nodiscard]] std::optional<DiffResult> diff_named_scenario_snapshot(
@@ -150,7 +152,7 @@ struct ShrinkResult {
 // Greedy minimization of a diverging case: repeatedly halve run length,
 // then demand, then topology scale, keeping each reduction that still
 // diverges. Returns nullopt when `failing_seed` does not actually diverge.
-[[nodiscard]] std::optional<ShrinkResult> shrink_case(std::uint64_t failing_seed,
-                                                      const EngineFactory& fast_factory = {});
+[[nodiscard]] std::optional<ShrinkResult> shrink_case(
+    std::uint64_t failing_seed, const experiment::EngineFactory& fast_factory = {});
 
 }  // namespace ivc::testing

@@ -58,7 +58,6 @@ class SimObserver {
   virtual void on_spawn(const SpawnEvent&) {}
   virtual void on_transit(const TransitEvent&) {}
   virtual void on_despawn(const DespawnEvent&) {}
-  virtual void on_step_end(util::SimTime) {}
 };
 
 // One simulation event of any kind.

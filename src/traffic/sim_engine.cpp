@@ -639,7 +639,6 @@ void SimEngine::finish_step() {
     // reusable (their generation is bumped at the next allocation).
     free_slots_.insert(free_slots_.end(), pending_free_.begin(), pending_free_.end());
     pending_free_.clear();
-    for (auto* obs : observers_) obs->on_step_end(now_);
   }
 }
 

@@ -106,8 +106,8 @@ class SimEngine {
   // ---- wiring -------------------------------------------------------------
 
   // Observers are non-owning and are invoked in registration order. Events
-  // are batched in a per-step EventBuffer and delivered once per step (at
-  // the end of the step, before on_step_end); see events.hpp.
+  // are batched in a per-step EventBuffer and delivered once per step, at
+  // its end; see events.hpp.
   void add_observer(SimObserver* observer);
 
   // Attach a perf collector (nullptr detaches). When attached, every step

@@ -179,14 +179,14 @@ class SkipNodeEngine final : public traffic::SimEngine {
 };
 
 template <typename Engine>
-EngineFactory factory_for() {
+experiment::EngineFactory factory_for() {
   return [](const roadnet::RoadNetwork& net, traffic::SimConfig sim) {
     return std::make_unique<Engine>(net, sim);
   };
 }
 
 TEST(DifferentialFuzz, InjectedWorklistSkipIsCaughtAndShrunk) {
-  const EngineFactory buggy = factory_for<SkipLastLaneEngine>();
+  const experiment::EngineFactory buggy = factory_for<SkipLastLaneEngine>();
   std::uint64_t failing_seed = 0;
   for (int i = 0; i < 10; ++i) {
     const std::uint64_t seed = bank_seed(kBankCampaignSeed, static_cast<std::uint64_t>(i));
@@ -217,7 +217,7 @@ TEST(DifferentialFuzz, InjectedWorklistSkipIsCaughtAndShrunk) {
 }
 
 TEST(DifferentialFuzz, InjectedNodeStarvationIsCaught) {
-  const EngineFactory buggy = factory_for<SkipNodeEngine>();
+  const experiment::EngineFactory buggy = factory_for<SkipNodeEngine>();
   int caught = 0;
   for (int i = 0; i < 8; ++i) {
     const std::uint64_t seed = bank_seed(kBankCampaignSeed, static_cast<std::uint64_t>(i));

@@ -50,47 +50,97 @@ experiment::ScenarioConfig tiny_config() {
 
 // ---- byte codec -------------------------------------------------------------
 
-TEST(SnapshotCodec, RoundtripsEveryScalarType) {
-  std::vector<std::uint8_t> bytes;
-  ByteWriter w(bytes);
-  w.u8(0xab);
-  w.u16(0xbeef);
-  w.u32(0xdeadbeefu);
-  w.u64(0x0123456789abcdefULL);
-  w.i32(-123456789);
-  w.i64(std::numeric_limits<std::int64_t>::min());
-  w.f64(-0.0);
-  w.f64(1.0e308);
-  w.f64(std::numeric_limits<double>::quiet_NaN());
-  w.boolean(true);
-  w.boolean(false);
-  w.str(std::string("with\0null", 9));
-  w.str("");
+// Bounds of the world every Reader below decodes ids against.
+constexpr std::size_t kNodes = 4;
+constexpr std::size_t kSegments = 6;
 
-  ByteReader r(bytes);
-  EXPECT_EQ(r.u8(), 0xab);
-  EXPECT_EQ(r.u16(), 0xbeef);
-  EXPECT_EQ(r.u32(), 0xdeadbeefu);
-  EXPECT_EQ(r.u64(), 0x0123456789abcdefULL);
-  EXPECT_EQ(r.i32(), -123456789);
-  EXPECT_EQ(r.i64(), std::numeric_limits<std::int64_t>::min());
-  const double neg_zero = r.f64();
-  EXPECT_EQ(neg_zero, 0.0);
-  EXPECT_TRUE(std::signbit(neg_zero));  // bit pattern, not value, roundtrips
-  EXPECT_EQ(r.f64(), 1.0e308);
-  EXPECT_TRUE(std::isnan(r.f64()));
-  EXPECT_TRUE(r.boolean());
-  EXPECT_FALSE(r.boolean());
-  EXPECT_EQ(r.str(), std::string("with\0null", 9));
-  EXPECT_EQ(r.str(), "");
-  EXPECT_TRUE(r.at_end());
+template <class Visit>
+std::vector<std::uint8_t> encode(const Visit& visit) {
+  std::vector<std::uint8_t> bytes;
+  Writer::write(bytes, visit);
+  return bytes;
+}
+
+// One value of every scalar type, doubles whose bit patterns matter (-0.0,
+// 1e308, NaN), and two strings a length-prefixed encoding could get wrong.
+struct Scalars {
+  std::uint8_t u8 = 0;
+  std::uint16_t u16 = 0;
+  std::uint32_t u32 = 0;
+  std::uint64_t u64 = 0;
+  std::int32_t i32 = 0;
+  std::int64_t i64 = 0;
+  double neg_zero = 1.0;
+  double huge = 0.0;
+  double nan = 0.0;
+  bool yes = false;
+  bool no = true;
+  std::string with_nul;
+  std::string empty = "overwritten";
+};
+
+template <class Ar, class T>
+void visit_scalars(Ar& ar, T& v) {
+  ar.field(v.u8);
+  ar.field(v.u16);
+  ar.field(v.u32);
+  ar.field(v.u64);
+  ar.field(v.i32);
+  ar.field(v.i64);
+  ar.field(v.neg_zero);
+  ar.field(v.huge);
+  ar.field(v.nan);
+  ar.field(v.yes);
+  ar.field(v.no);
+  ar.field(v.with_nul);
+  ar.field(v.empty);
+}
+
+TEST(SnapshotCodec, RoundtripsEveryScalarType) {
+  Scalars saved;
+  saved.u8 = 0xab;
+  saved.u16 = 0xbeef;
+  saved.u32 = 0xdeadbeefu;
+  saved.u64 = 0x0123456789abcdefULL;
+  saved.i32 = -123456789;
+  saved.i64 = std::numeric_limits<std::int64_t>::min();
+  saved.neg_zero = -0.0;
+  saved.huge = 1.0e308;
+  saved.nan = std::numeric_limits<double>::quiet_NaN();
+  saved.yes = true;
+  saved.no = false;
+  saved.with_nul = std::string("with\0null", 9);
+  saved.empty = "";
+  const std::vector<std::uint8_t> bytes =
+      encode([&](auto& ar) { visit_scalars(ar, std::as_const(saved)); });
+  EXPECT_EQ(bytes.size(), 1u + 2 + 4 + 8 + 4 + 8 + 3 * 8 + 2 + (4 + 9) + 4);
+
+  Scalars loaded;
+  Reader r(bytes, kNodes, kSegments);
+  visit_scalars(r, loaded);
+  EXPECT_EQ(r.remaining(), 0u);
   EXPECT_NO_THROW(r.expect_end("codec"));
+  EXPECT_EQ(loaded.u8, 0xab);
+  EXPECT_EQ(loaded.u16, 0xbeef);
+  EXPECT_EQ(loaded.u32, 0xdeadbeefu);
+  EXPECT_EQ(loaded.u64, 0x0123456789abcdefULL);
+  EXPECT_EQ(loaded.i32, -123456789);
+  EXPECT_EQ(loaded.i64, std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(loaded.neg_zero, 0.0);
+  EXPECT_TRUE(std::signbit(loaded.neg_zero));  // bit pattern, not value, roundtrips
+  EXPECT_EQ(loaded.huge, 1.0e308);
+  EXPECT_TRUE(std::isnan(loaded.nan));
+  EXPECT_TRUE(loaded.yes);
+  EXPECT_FALSE(loaded.no);
+  EXPECT_EQ(loaded.with_nul, std::string("with\0null", 9));
+  EXPECT_EQ(loaded.empty, "");
 }
 
 TEST(SnapshotCodec, ByteOrderIsExplicitLittleEndian) {
-  std::vector<std::uint8_t> bytes;
-  ByteWriter w(bytes);
-  w.u32(0x01020304u);
+  const std::vector<std::uint8_t> bytes = encode([](auto& ar) {
+    const std::uint32_t v = 0x01020304u;
+    ar.field(v);
+  });
   ASSERT_EQ(bytes.size(), 4u);
   EXPECT_EQ(bytes[0], 0x04);
   EXPECT_EQ(bytes[1], 0x03);
@@ -98,60 +148,19 @@ TEST(SnapshotCodec, ByteOrderIsExplicitLittleEndian) {
   EXPECT_EQ(bytes[3], 0x01);
 }
 
-// A record is the same encoding, written through a cursor over bytes
-// appended in one go.
-TEST(SnapshotCodec, RecordWritesTheSameBytesAsSingleValues) {
-  std::vector<std::uint8_t> single;
-  ByteWriter one(single);
-  one.u8(0xab);
-  one.u16(0xbeef);
-  one.i32(-5);
-  one.f64(-2.5);
-  one.boolean(true);
-  one.u64(0x0123456789abcdefULL);
-
-  std::vector<std::uint8_t> recorded;
-  ByteWriter w(recorded);
-  w.u8(0xab);
-  {
-    ByteWriter::Record rec = w.record(2 + 4 + 8 + 1);
-    rec.u16(0xbeef);
-    rec.i32(-5);
-    rec.f64(-2.5);
-    rec.boolean(true);
-  }
-  w.u64(0x0123456789abcdefULL);
-  EXPECT_EQ(recorded, single);
-}
-
-// A record's size is the caller's promise; breaking it either way aborts.
-TEST(SnapshotCodecDeath, RecordMustBeFilledExactly) {
-  std::vector<std::uint8_t> bytes;
-  ByteWriter w(bytes);
-  EXPECT_DEATH(
-      {
-        ByteWriter::Record rec = w.record(4);
-        rec.u64(1);
-      },
-      "snapshot record overrun");
-  EXPECT_DEATH(
-      {
-        ByteWriter::Record rec = w.record(4);
-        rec.u16(1);
-      },
-      "snapshot record left bytes unwritten");
-}
-
 TEST(SnapshotCodec, TruncationAndTrailingBytesAreLoud) {
-  std::vector<std::uint8_t> bytes;
-  ByteWriter w(bytes);
-  w.u32(7);
-  ByteReader short_read(bytes);
-  (void)short_read.u16();
-  EXPECT_THROW((void)short_read.u64(), SnapshotError);  // runs past the end
+  const std::vector<std::uint8_t> bytes = encode([](auto& ar) {
+    const std::uint32_t v = 7;
+    ar.field(v);
+  });
+  std::uint16_t half = 0;
+  std::uint64_t whole = 0;
+  Reader short_read(bytes, kNodes, kSegments);
+  short_read.field(half);
+  EXPECT_THROW(short_read.field(whole), SnapshotError);  // runs past the end
 
-  ByteReader trailing(bytes);
-  (void)trailing.u16();
+  Reader trailing(bytes, kNodes, kSegments);
+  trailing.field(half);
   EXPECT_THROW(trailing.expect_end("codec"), SnapshotError);  // 2 bytes left
 }
 
@@ -208,17 +217,6 @@ void visit_every_op(Ar& ar, T& v) {
   ar.optional(v.label);
   ar.optional(v.no_label);
   ar.map(v.reports);
-}
-
-// Bounds of the world every Reader below decodes ids against.
-constexpr std::size_t kNodes = 4;
-constexpr std::size_t kSegments = 6;
-
-template <class Visit>
-std::vector<std::uint8_t> encode(const Visit& visit) {
-  std::vector<std::uint8_t> bytes;
-  Writer::write(bytes, visit);
-  return bytes;
 }
 
 TEST(SnapshotArchive, EveryOpRoundTrips) {
@@ -354,14 +352,15 @@ TEST(SnapshotArchive, ReaderRejectsWhatNoSaveWrites) {
 // different bytes.
 TEST(SnapshotArchive, MapKeysMustStrictlyIncrease) {
   const auto entries = [](std::initializer_list<std::uint32_t> keys) {
-    std::vector<std::uint8_t> bytes;
-    ByteWriter w(bytes);
-    w.u64(keys.size());
-    for (const std::uint32_t key : keys) {
-      w.u32(key);
-      w.i64(-static_cast<std::int64_t>(key));
-    }
-    return bytes;
+    return encode([&](auto& ar) {
+      const std::uint64_t count = keys.size();
+      ar.field(count);
+      for (const std::uint32_t key : keys) {
+        const std::int64_t value = -static_cast<std::int64_t>(key);
+        ar.field(key);
+        ar.field(value);
+      }
+    });
   };
   std::map<std::uint32_t, std::int64_t> reports;
   const std::vector<std::uint8_t> increasing = entries({2, 5, 9});
@@ -389,49 +388,59 @@ TEST(SnapshotArchiveDeath, SizerAndWriterMustAgree) {
 
 // ---- versioned container ----------------------------------------------------
 
+// A container written field by field, so that it can hold what to_bytes
+// never writes: another magic or version, or one section name twice.
+std::vector<std::uint8_t> container(std::uint32_t magic, std::uint32_t version,
+                                    const std::vector<std::string>& names) {
+  return encode([&](auto& ar) {
+    visit_envelope(ar, magic, version, "snapshot");
+    const auto count = static_cast<std::uint32_t>(names.size());
+    ar.field(count);
+    const std::vector<std::uint8_t> payload(8, 1);
+    for (const std::string& name : names) {
+      ar.field(name);
+      ar.field(payload);
+    }
+  });
+}
+
 TEST(SnapshotContainer, SectionsRoundtripThroughBytes) {
   Snapshot snap;
-  {
-    ByteWriter w(snap.add_section("alpha"));
-    w.u64(42);
-  }
-  {
-    ByteWriter w(snap.add_section("beta"));
-    w.str("payload");
-  }
+  Writer::write(snap.add_section("alpha"), [](auto& ar) {
+    const std::uint64_t v = 42;
+    ar.field(v);
+  });
+  Writer::write(snap.add_section("beta"), [](auto& ar) {
+    const std::string s = "payload";
+    ar.field(s);
+  });
   EXPECT_TRUE(snap.has_section("alpha"));
   EXPECT_FALSE(snap.has_section("gamma"));
   EXPECT_THROW((void)snap.section("gamma"), SnapshotError);
 
   const Snapshot parsed = Snapshot::from_bytes(snap.to_bytes());
   ASSERT_EQ(parsed.section_count(), 2u);
-  ByteReader a(parsed.section("alpha"));
-  EXPECT_EQ(a.u64(), 42u);
-  ByteReader b(parsed.section("beta"));
-  EXPECT_EQ(b.str(), "payload");
+  std::uint64_t alpha = 0;
+  Reader a(parsed.section("alpha"), kNodes, kSegments);
+  a.field(alpha);
+  EXPECT_EQ(alpha, 42u);
+  std::string beta;
+  Reader b(parsed.section("beta"), kNodes, kSegments);
+  b.field(beta);
+  EXPECT_EQ(beta, "payload");
 }
 
 TEST(SnapshotContainer, RejectsBadMagic) {
-  std::vector<std::uint8_t> bytes;
-  ByteWriter w(bytes);
-  w.u32(0x4b4f4f42u);  // some other file format
-  w.u32(Snapshot::kVersion);
-  w.u32(Snapshot::kEndianMark);
-  w.u32(0);
-  EXPECT_THROW((void)Snapshot::from_bytes(bytes), SnapshotError);
+  // Some other file format.
+  EXPECT_THROW((void)Snapshot::from_bytes(container(0x4b4f4f42u, Snapshot::kVersion, {})),
+               SnapshotError);
 }
 
 // The version-skew contract: an old-format snapshot is rejected loudly,
 // with a message that says what to do — never half-parsed.
 TEST(SnapshotContainer, RejectsVersionSkewLoudly) {
-  std::vector<std::uint8_t> bytes;
-  ByteWriter w(bytes);
-  w.u32(Snapshot::kMagic);
-  w.u32(Snapshot::kVersion + 1);
-  w.u32(Snapshot::kEndianMark);
-  w.u32(0);
   try {
-    (void)Snapshot::from_bytes(bytes);
+    (void)Snapshot::from_bytes(container(Snapshot::kMagic, Snapshot::kVersion + 1, {}));
     FAIL() << "version skew accepted";
   } catch (const SnapshotError& e) {
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos) << e.what();
@@ -441,8 +450,10 @@ TEST(SnapshotContainer, RejectsVersionSkewLoudly) {
 
 TEST(SnapshotContainer, RejectsTruncatedSectionTable) {
   Snapshot snap;
-  ByteWriter w(snap.add_section("alpha"));
-  w.u64(42);
+  Writer::write(snap.add_section("alpha"), [](auto& ar) {
+    const std::uint64_t v = 42;
+    ar.field(v);
+  });
   std::vector<std::uint8_t> bytes = snap.to_bytes();
   bytes.resize(bytes.size() - 3);
   EXPECT_THROW((void)Snapshot::from_bytes(bytes), SnapshotError);
@@ -451,18 +462,11 @@ TEST(SnapshotContainer, RejectsTruncatedSectionTable) {
 // add_section resets a section it already has, so a repeated name would
 // let the later payload silently replace the earlier one.
 TEST(SnapshotContainer, RejectsRepeatedSectionName) {
-  std::vector<std::uint8_t> bytes;
-  ByteWriter w(bytes);
-  w.u32(Snapshot::kMagic);
-  w.u32(Snapshot::kVersion);
-  w.u32(Snapshot::kEndianMark);
-  w.u32(2);
-  for (const std::uint64_t value : {1u, 2u}) {
-    w.str("alpha");
-    w.u32(8);
-    w.u64(value);
-  }
-  EXPECT_THROW((void)Snapshot::from_bytes(bytes), SnapshotError);
+  const auto parse = [](const std::vector<std::string>& names) {
+    return Snapshot::from_bytes(container(Snapshot::kMagic, Snapshot::kVersion, names));
+  };
+  EXPECT_EQ(parse({"alpha", "beta"}).section_count(), 2u);
+  EXPECT_THROW((void)parse({"alpha", "alpha"}), SnapshotError);
 }
 
 // ---- world save/restore -----------------------------------------------------
@@ -617,15 +621,20 @@ TEST(SimWorldSnapshot, OracleTallyIdsMustStrictlyIncrease) {
   source.save(snap);
   const auto with_tally = [&](std::initializer_list<std::uint64_t> ids) {
     Snapshot edited = snap;
-    ByteWriter w(edited.add_section("oracle"));
-    w.u64(ids.size());  // count events
-    w.i64(0);           // adjustment sum
-    w.u64(0);           // exit events
-    w.u64(ids.size());
-    for (const std::uint64_t id : ids) {
-      w.u64(id);
-      w.u16(1);
-    }
+    Writer::write(edited.add_section("oracle"), [&](auto& ar) {
+      const std::uint64_t count = ids.size();
+      const std::int64_t adjustment_sum = 0;
+      const std::uint64_t exit_events = 0;
+      const std::uint16_t times = 1;
+      ar.field(count);  // count events
+      ar.field(adjustment_sum);
+      ar.field(exit_events);
+      ar.field(count);
+      for (const std::uint64_t id : ids) {
+        ar.field(id);
+        ar.field(times);
+      }
+    });
     return edited;
   };
 
@@ -652,8 +661,7 @@ TEST(SimWorldSnapshot, ArrivalBudgetOutsideItsRangeIsRejected) {
     Snapshot edited = snap;
     std::vector<std::uint8_t>& bytes = edited.add_section("demand");
     bytes.assign(demand.begin(), demand.begin() + static_cast<std::ptrdiff_t>(at));
-    ByteWriter w(bytes);
-    w.f64(budget);
+    Writer::write(bytes, [&](auto& ar) { ar.field(budget); });
     bytes.insert(bytes.end(), demand.begin() + static_cast<std::ptrdiff_t>(at + 8), demand.end());
     EXPECT_THROW(target.restore(edited), SnapshotError) << "budget " << budget;
   }
@@ -821,6 +829,36 @@ TEST(TraceReplay, CorruptRecordCountIsRejected) {
       corrupt[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(bad >> (8 * i));
     }
     EXPECT_THROW((void)replay_trace(corrupt), SnapshotError) << "count " << bad;
+  }
+}
+
+// The bytes record_trace writes for two registry scenarios and a fuzz
+// case: their length and FNV-1a. The replay tests only prove the reader
+// agrees with the writer; these pins prove the bytes themselves did not
+// drift, so a codec rewrite that keeps kTraceVersion must reproduce them.
+// Pinned for trace version 2. A deliberate layout change bumps the version
+// and re-pins these from the failure message; any other mismatch is a
+// regression: bisect it, do not re-pin it.
+TEST(TraceReplay, RecordedBytesArePinned) {
+  struct Pin {
+    TraceSource source;
+    std::size_t size;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {TraceSource::registry("manhattan-open-steady", experiment::ScenarioScale::Smoke), 102'074,
+       0xeea23bee70f5f8cbull},
+      {TraceSource::registry("roundabout-town-lossless", experiment::ScenarioScale::Smoke),
+       41'277, 0xb7156408e2c8d9d3ull},
+      {TraceSource::fuzz_case(0x1234567), 244'853, 0xb75a9f8dedf17568ull},
+  };
+  for (const Pin& pin : pins) {
+    const std::vector<std::uint8_t> bytes = record_trace(pin.source);
+    std::uint64_t digest = 1469598103934665603ull;  // FNV-1a offset basis
+    for (const std::uint8_t byte : bytes) digest = (digest ^ byte) * 1099511628211ull;
+    EXPECT_EQ(bytes.size(), pin.size) << pin.source.describe();
+    EXPECT_EQ(digest, pin.digest) << pin.source.describe() << ": pinned 0x" << std::hex
+                                  << pin.digest << ", actual 0x" << digest;
   }
 }
 

@@ -98,8 +98,7 @@ TEST(ReferenceKernel, MatchesFastEngineEventStream) {
       return demand.plan_continuation(v, n);
     });
     EventStreamHasher hasher;
-    hasher.bind(engine.get());
-    engine->add_observer(&hasher);
+    hasher.attach(*engine);
     demand.init_population();
     for (int i = 0; i < 1200; ++i) {
       demand.update();
@@ -182,8 +181,7 @@ TEST(ReferenceKernel, InterleavedDynamicsMatchesLaneByLaneEveryStep) {
       route.edges = {out[w.engine->draw_for(id) % out.size()]};
       return route;
     });
-    w.hasher.bind(&engine);
-    engine.add_observer(&w.hasher);
+    w.hasher.attach(engine);
     traffic::ExteriorAttributes attrs;
     attrs.type = traffic::BodyType::Sedan;
     int n = 0;

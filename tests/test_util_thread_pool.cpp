@@ -1,5 +1,5 @@
-// Thread pool behaviour: completion, parallel_for coverage, reuse and
-// exception propagation.
+// Thread pool behaviour: parallel_for coverage, reuse and exception
+// propagation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,16 +10,6 @@
 
 namespace ivc::util {
 namespace {
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
@@ -49,12 +39,6 @@ TEST(ThreadPool, ReusableAcrossBatches) {
     pool.parallel_for(50, [&](std::size_t) { counter.fetch_add(1); });
   }
   EXPECT_EQ(counter.load(), 250);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
 }
 
 TEST(ThreadPool, DefaultSizeIsPositive) {
